@@ -15,7 +15,6 @@ from repro.analysis.smoothing import (
     PolynomialFit,
     aggregate_scatter,
     fit_polynomial,
-    incremental_degree_fit,
 )
 
 __all__ = [
@@ -32,6 +31,5 @@ __all__ = [
     "aggregate_scatter",
     "find_knee",
     "fit_polynomial",
-    "incremental_degree_fit",
     "pearson",
 ]

@@ -4,9 +4,10 @@ The SCG model fits a smoothing polynomial to the noisy
 concurrency-goodput scatter before running Kneedle. The paper tunes the
 polynomial degree *incrementally*: too low a degree cannot expose a
 valid knee, too high a degree overfits measurement noise; degrees 5–8
-typically fit a 1-minute profile. :func:`incremental_degree_fit`
-implements that strategy: starting from ``min_degree``, raise the degree
-until the fit stops improving materially (or the cap is reached).
+typically fit a 1-minute profile. This module supplies the fit itself;
+the degree search lives in
+:meth:`repro.core.scg.ScatterCurveModel.estimate`, which raises the
+degree until Kneedle confirms a knee.
 """
 
 from __future__ import annotations
@@ -72,36 +73,3 @@ def fit_polynomial(x: np.ndarray, y: np.ndarray, degree: int,
     return PolynomialFit(degree=degree, coefficients=coefficients,
                          x=grid, y=np.polyval(coefficients, grid),
                          rmse=rmse)
-
-
-def incremental_degree_fit(x: np.ndarray, y: np.ndarray, *,
-                           min_degree: int = 3, max_degree: int = 8,
-                           improvement_tolerance: float = 0.02,
-                           grid_points: int = 200) -> PolynomialFit:
-    """Fit with the minimum polynomial degree that matches the data.
-
-    Degrees are tried from ``min_degree`` upward; the search stops at the
-    first degree whose RMSE improvement over the previous one falls below
-    ``improvement_tolerance`` (relative), mirroring the paper's
-    "incremental tuning strategy to quickly identify the minimum
-    polynomial degree" (§3.3). Degrees that the data cannot support are
-    skipped; if none fits, ``ValueError`` propagates.
-    """
-    if min_degree > max_degree:
-        raise ValueError(f"min_degree {min_degree} > max_degree {max_degree}")
-    best: PolynomialFit | None = None
-    for degree in range(min_degree, max_degree + 1):
-        try:
-            fit = fit_polynomial(x, y, degree, grid_points=grid_points)
-        except ValueError:
-            break  # not enough distinct points for higher degrees
-        if best is not None:
-            reference = best.rmse if best.rmse > 0 else 1.0
-            if (best.rmse - fit.rmse) / reference < improvement_tolerance:
-                return best
-        best = fit
-    if best is None:
-        raise ValueError(
-            f"cannot fit any degree in [{min_degree}, {max_degree}]: "
-            f"only {np.unique(np.asarray(x)).size} distinct x values")
-    return best

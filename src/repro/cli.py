@@ -886,7 +886,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the parallel fan-out benchmark")
     bench.add_argument("--no-scale-sweep", action="store_true",
                        help="skip the 10k-1M user scale sweep "
-                            "(timer wheel vs heap, DES point, fluid "
+                            "(heap timer churn, DES point, fluid "
                             "diurnal day)")
     bench.add_argument("--output", default=None, metavar="PATH",
                        help="also write the JSON report here "

@@ -54,6 +54,21 @@ def propagate_for_trace(root: Span, service: str,
     return sla - budget
 
 
+def check_floor_fraction(floor_fraction: float) -> None:
+    """Reject a threshold floor outside ``[0, 1)``."""
+    if not 0.0 <= floor_fraction < 1.0:
+        raise ValueError(
+            f"floor_fraction must be in [0, 1), got {floor_fraction}")
+
+
+def clamp_threshold(threshold: float, sla: float,
+                    floor_fraction: float) -> float:
+    """Clamp a propagated threshold to ``[floor_fraction * sla, sla]``:
+    upstream congestion must not starve the critical service's budget
+    entirely, and no local threshold exceeds the global SLA."""
+    return min(sla, max(sla * floor_fraction, threshold))
+
+
 class DeadlinePropagator:
     """Window-level deadline propagation.
 
@@ -67,9 +82,7 @@ class DeadlinePropagator:
     def __init__(self, sla: float, floor_fraction: float = 0.1) -> None:
         if sla <= 0:
             raise ValueError(f"sla must be positive, got {sla}")
-        if not 0.0 <= floor_fraction < 1.0:
-            raise ValueError(
-                f"floor_fraction must be in [0, 1), got {floor_fraction}")
+        check_floor_fraction(floor_fraction)
         self.sla = sla
         self.floor_fraction = floor_fraction
 
@@ -90,9 +103,9 @@ class DeadlinePropagator:
                 service=service, sla=self.sla, upstream_budget=0.0,
                 threshold=self.sla, samples=0)
         mean_threshold = float(np.mean(thresholds))
-        floor = self.sla * self.floor_fraction
-        clamped = min(self.sla, max(floor, mean_threshold))
         return PropagatedDeadline(
             service=service, sla=self.sla,
             upstream_budget=self.sla - mean_threshold,
-            threshold=clamped, samples=len(thresholds))
+            threshold=clamp_threshold(mean_threshold, self.sla,
+                                      self.floor_fraction),
+            samples=len(thresholds))

@@ -449,18 +449,18 @@ def bench_parallel_fanout(grid_points: int = 6,
     }
 
 
-def _timer_churn(scheduler: str, timers: int, budget: int) -> dict:
+def _timer_churn(timers: int, budget: int) -> dict:
     """Self-rescheduling timer population at a fixed pending-set size.
 
     ``timers`` callback events each re-arm themselves with a
     deterministic pseudo-random gap in [0.5, 1.5) s until ``budget``
-    re-arms have fired, so the scheduler holds ~``timers`` pending
-    entries throughout — the regime where heap ``log n`` and wheel
-    ``O(1)`` diverge. Pure callback events (no generators) keep the
+    re-arms have fired, so the heap holds ~``timers`` pending entries
+    throughout and its ``log n`` push/pop cost shows against the
+    pending-set size. Pure callback events (no generators) keep the
     measurement on the scheduler itself rather than interpreter frame
     churn.
     """
-    env = Environment(scheduler=scheduler)
+    env = Environment()
     heap = env._heap
     eid = env._eid
     now_ref = env
@@ -496,7 +496,6 @@ def _timer_churn(scheduler: str, timers: int, budget: int) -> dict:
     env.run()
     seconds = time.perf_counter() - started
     return {
-        "scheduler": scheduler,
         "timers": timers,
         "events": processed,
         "seconds": seconds,
@@ -576,9 +575,9 @@ def bench_scale_sweep(sizes: _t.Sequence[int] = (10_000, 100_000,
                       des_duration: float = 5.0) -> dict:
     """The 10k→1M-user scaling story, in three tiers of fidelity.
 
-    For each population size: the timer-churn microbenchmark comparing
-    the heap and timer-wheel schedulers at that pending-set size (the
-    isolated kernel effect), one full-fidelity closed-loop DES point at
+    For each population size: the timer-churn microbenchmark measuring
+    heap throughput at that pending-set size (the isolated kernel
+    effect), one full-fidelity closed-loop DES point at
     ``des_users`` (the largest size where per-user simulation is the
     right tool), and the fluid fast path sweeping a complete diurnal
     day at every size (how a million users actually gets run).
@@ -586,14 +585,7 @@ def bench_scale_sweep(sizes: _t.Sequence[int] = (10_000, 100_000,
     churn = []
     for timers in sizes:
         budget = min(1_000_000, max(timers, 100_000))
-        churn.append({
-            "timers": timers,
-            "heap": _timer_churn("heap", timers, budget),
-            "wheel": _timer_churn("wheel", timers, budget),
-        })
-        churn[-1]["wheel_speedup"] = (
-            churn[-1]["heap"]["seconds"] /
-            churn[-1]["wheel"]["seconds"])
+        churn.append(_timer_churn(timers, budget))
     return {
         "sizes": list(sizes),
         "timer_churn": churn,
@@ -669,10 +661,7 @@ def render_report(report: dict) -> str:
             for tier in stats["timer_churn"]:
                 lines.append(
                     f"scale_sweep churn {tier['timers']:>9,} timers: "
-                    f"wheel {tier['wheel']['events_per_sec']:>12,.0f} "
-                    f"ev/s vs heap "
-                    f"{tier['heap']['events_per_sec']:>12,.0f} ev/s "
-                    f"({tier['wheel_speedup']:.2f}x)")
+                    f"{tier['events_per_sec']:>12,.0f} ev/s")
             des = stats["des_closed_loop"]
             lines.append(
                 f"scale_sweep DES {des['users']:>11,} users: "

@@ -40,6 +40,7 @@ from collections import deque
 
 import numpy as np
 
+from repro.core.deadline import clamp_threshold
 from repro.core.localization import CriticalServiceLocator
 from repro.core.scg import SCGModel
 from repro.obs import (
@@ -241,18 +242,18 @@ class ControlPlane:
 
         Mean of ``sla - upstream_budget`` over window traces whose
         critical path crossed ``service``, clamped to
-        ``[floor_fraction * sla, sla]``; the full SLA when no trace
-        did (a service with no observed upstreams keeps the whole
-        budget) — the same semantics as
-        :class:`~repro.core.deadline.DeadlinePropagator`.
+        ``[floor_fraction * sla, sla]`` by
+        :func:`~repro.core.deadline.clamp_threshold`; the full SLA when
+        no trace did (a service with no observed upstreams keeps the
+        whole budget).
         """
         cfg = self.config
         budgets = [entry[service] for entry in self._budgets
                    if service in entry]
         if not budgets:
             return cfg.sla
-        mean = cfg.sla - float(np.mean(budgets))
-        return min(cfg.sla, max(cfg.sla * cfg.floor_fraction, mean))
+        return clamp_threshold(cfg.sla - float(np.mean(budgets)),
+                               cfg.sla, cfg.floor_fraction)
 
     def _decide(self, service: str, now: float,
                 threshold: float) -> TargetDecision:

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.core.deadline import check_floor_fraction
 from repro.core.scg import ScatterModelConfig
 from repro.metrics.sampler import TimeSeries
 
@@ -87,7 +88,7 @@ class ServiceConfig:
     Attributes:
         sla: end-to-end SLA in seconds (deadline-propagation input).
         floor_fraction: propagated thresholds never drop below
-            ``floor_fraction * sla``.
+            ``floor_fraction * sla``; must lie in ``[0, 1)``.
         utilization_threshold: localization screening bound (§3.2
             step 1).
         cadence: *logical* seconds a control round advances the
@@ -158,6 +159,7 @@ class ServiceConfig:
         if self.window <= 0:
             raise ValueError(
                 f"window must be positive, got {self.window}")
+        check_floor_fraction(self.floor_fraction)
         if self.trace_window < 1:
             raise ValueError(
                 f"trace_window must be >= 1, got {self.trace_window}")

@@ -12,7 +12,6 @@ its factory methods so user code rarely imports anything else::
 from __future__ import annotations
 
 import heapq
-import os
 import typing as _t
 from itertools import count
 
@@ -20,10 +19,6 @@ from repro.sim.errors import StopSimulation, UnhandledProcessError
 from repro.sim.events import (Condition, Event, EventBatch, Timeout,
                               all_of, any_of)
 from repro.sim.process import Process, ProcessGenerator
-from repro.sim.wheel import TimerWheel
-
-#: Recognized scheduler backends (see ``Environment(scheduler=...)``).
-SCHEDULERS = ("heap", "wheel")
 
 #: Scheduling priorities: URGENT events process before NORMAL ones that
 #: share the same timestamp (used for bookkeeping that must observe state
@@ -40,45 +35,22 @@ StepMonitor = _t.Callable[[float, int, "Event"], None]
 class Environment:
     """Execution environment for a single simulation run.
 
+    Pending events live in one global binary heap keyed by ``(when,
+    priority, serial)``, so ties at one timestamp resolve by priority
+    and then by scheduling order — the total order every replay
+    fingerprint and golden snapshot is built on.
+
     Args:
         initial_time: starting value of the simulated clock.
-        scheduler: event-queue backend — ``"heap"`` (the classic global
-            binary heap; default) or ``"wheel"`` (an indexed calendar
-            queue, see :mod:`repro.sim.wheel`, which wins once the
-            pending-event population reaches fleet scale). ``None``
-            reads ``REPRO_SCHEDULER`` from the environment, falling
-            back to ``"heap"``. Both backends process byte-identical
-            event streams (proven by the replay-fingerprint suite);
-            only the cost profile differs.
     """
 
-    def __init__(self, initial_time: float = 0.0,
-                 scheduler: str | None = None) -> None:
+    def __init__(self, initial_time: float = 0.0) -> None:
         self._now = float(initial_time)
         self._heap: list[tuple[float, int, int, Event]] = []
         self._eid = count()
         self._span_ids = count(1)
         self._active_process: Process | None = None
         self._monitors: list[StepMonitor] = []
-        if scheduler is None:
-            scheduler = os.environ.get("REPRO_SCHEDULER", "heap")
-        if scheduler not in SCHEDULERS:
-            raise ValueError(f"unknown scheduler {scheduler!r} "
-                             f"(have: {', '.join(SCHEDULERS)})")
-        self._scheduler = scheduler
-        # In wheel mode ``_heap`` stays in place as a small *inbox*:
-        # every producer hot path keeps its inlined heappush untouched,
-        # and the run loop drains the inbox into the wheel each
-        # iteration. The inbox never holds more than the events
-        # scheduled by one callback burst, so its heappushes stay O(1)-
-        # ish while the wheel absorbs the fleet-scale pending set.
-        self._wheel: TimerWheel | None = (
-            TimerWheel(start=self._now) if scheduler == "wheel" else None)
-
-    @property
-    def scheduler(self) -> str:
-        """The active scheduler backend name."""
-        return self._scheduler
 
     # ------------------------------------------------------------------
     # Clock
@@ -98,8 +70,6 @@ class Environment:
         """Scheduled-but-unprocessed entries currently queued
         (observability probe; see :mod:`repro.obs.profiling`). A batch
         scheduled via :meth:`schedule_batch` counts as one entry."""
-        if self._wheel is not None:
-            return len(self._heap) + len(self._wheel)
         return len(self._heap)
 
     def next_span_id(self) -> int:
@@ -193,11 +163,7 @@ class Environment:
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` if none."""
-        head = self._heap[0][0] if self._heap else float("inf")
-        if self._wheel is not None:
-            wheel_head = self._wheel.peek()
-            return head if head <= wheel_head else wheel_head
-        return head
+        return self._heap[0][0] if self._heap else float("inf")
 
     def add_monitor(self, monitor: StepMonitor) -> None:
         """Observe every event the loop processes (validation hooks).
@@ -217,17 +183,7 @@ class Environment:
 
     def step(self) -> None:
         """Process the single next event (one batch counts as one step)."""
-        wheel = self._wheel
-        if wheel is not None:
-            inbox = self._heap
-            if inbox:
-                push = wheel.push
-                for entry in inbox:
-                    push(entry)
-                inbox.clear()
-            when, prio, eid, event = wheel.pop()
-        else:
-            when, prio, eid, event = heapq.heappop(self._heap)
+        when, prio, eid, event = heapq.heappop(self._heap)
         self._now = when
         if event.__class__ is EventBatch:
             self._apply_batch(when, prio, eid,
@@ -325,55 +281,6 @@ class Environment:
                     f"{cause!r}")
                 raise error from cause
 
-    def _run_loop_wheel(self, horizon: float) -> None:
-        """Wheel-mode hot loop: drain the producer inbox into the wheel,
-        then pop the global minimum from the wheel.
-
-        Draining happens before every pop, so an event scheduled by a
-        callback is always in the wheel before the next ordering
-        decision — the processed stream is byte-identical to the heap
-        loop's (same entries, same total order by ``(when, priority,
-        eid)``).
-        """
-        inbox = self._heap
-        wheel = self._wheel
-        assert wheel is not None
-        push = wheel.push
-        wheel_peek = wheel.peek
-        wheel_pop = wheel.pop
-        monitors = self._monitors
-        batch_cls = EventBatch
-        while True:
-            if inbox:
-                for entry in inbox:
-                    push(entry)
-                inbox.clear()
-            # Same stop rule as the heap loop: exhausted, or the next
-            # entry lies past the horizon. The emptiness check is
-            # explicit because ``peek() > horizon`` fails to stop an
-            # empty wheel when horizon is inf (inf > inf is False).
-            if wheel._len == 0 or wheel_peek() > horizon:
-                return
-            when, prio, eid, event = wheel_pop()
-            self._now = when
-            if event.__class__ is batch_cls:
-                self._apply_batch(when, prio, eid,
-                                  _t.cast(EventBatch, event))
-                continue
-            if monitors:
-                for monitor in monitors:
-                    monitor(when, eid, event)
-            callbacks = event.callbacks
-            event.callbacks = None
-            for callback in callbacks:
-                callback(event)
-            if not event._ok and not event.defused:
-                cause = _t.cast(BaseException, event._value)
-                error = UnhandledProcessError(
-                    f"unhandled failure in simulation at t={when:.6f}: "
-                    f"{cause!r}")
-                raise error from cause
-
     def run(self, until: float | Event | None = None) -> object:
         """Run the event loop.
 
@@ -399,10 +306,7 @@ class Environment:
                     f"until={horizon} is in the past (now={self._now})")
 
         try:
-            if self._wheel is not None:
-                self._run_loop_wheel(horizon)
-            else:
-                self._run_loop(horizon)
+            self._run_loop(horizon)
         except StopSimulation:
             pass
 

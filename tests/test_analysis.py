@@ -9,7 +9,6 @@ from repro.analysis import (
     aggregate_scatter,
     find_knee,
     fit_polynomial,
-    incremental_degree_fit,
     pearson,
 )
 
@@ -79,32 +78,6 @@ class TestPolynomialFit:
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             fit_polynomial(np.arange(5.0), np.arange(5.0), degree=0)
-
-    def test_incremental_stops_at_sufficient_degree(self):
-        x = np.linspace(0, 10, 100)
-        y = x ** 3 - 5 * x ** 2 + x
-        fit = incremental_degree_fit(x, y, min_degree=2, max_degree=8)
-        # Degree 3 fits perfectly; 4 adds nothing, so we stop at <= 4.
-        assert fit.degree <= 4
-        assert fit.rmse < 1e-6
-
-    def test_incremental_handles_sparse_data(self):
-        # Only 6 distinct x values: degrees above 5 are unfittable and
-        # must be skipped gracefully.
-        x = np.array([3.0, 5.0, 10.0, 30.0, 80.0, 200.0])
-        y = np.array([10.0, 30.0, 60.0, 90.0, 80.0, 40.0])
-        fit = incremental_degree_fit(x, y, min_degree=3, max_degree=8)
-        assert fit.degree <= 5
-
-    def test_incremental_unfittable_raises(self):
-        with pytest.raises(ValueError):
-            incremental_degree_fit(np.array([1.0, 2.0]),
-                                   np.array([1.0, 2.0]), min_degree=3)
-
-    def test_min_greater_than_max_raises(self):
-        with pytest.raises(ValueError):
-            incremental_degree_fit(np.arange(10.0), np.arange(10.0),
-                                   min_degree=5, max_degree=3)
 
 
 class TestKneedle:

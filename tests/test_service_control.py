@@ -81,6 +81,8 @@ def knee_snapshots(plane: ControlPlane, count: int = 40,
     {"decide_top_k": -1},
     {"min_allocation": 9, "max_allocation": 3},
     {"latency_slo": 0.0},
+    {"floor_fraction": -0.1},
+    {"floor_fraction": 1.0},
 ])
 def test_config_rejects_bad_values(overrides):
     with pytest.raises(ValueError):

@@ -165,13 +165,6 @@ class TestOpenLoopBatchPump:
         _d_gen, *gen = self._run(batch=1)
         assert pump == gen
 
-    def test_pump_byte_identical_under_wheel(self, monkeypatch):
-        """Same driver path on the other scheduler: full replay
-        fingerprints must match, not just the observable results."""
-        baseline = self._run(batch=256)
-        monkeypatch.setenv("REPRO_SCHEDULER", "wheel")
-        assert self._run(batch=256) == baseline
-
     def test_invalid_batch_rejected(self):
         env, app, _driver = scenario_by_name("single_light").build(3)
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 """Unit tests for the DES kernel: environment, events, processes."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import (
     Environment,
@@ -9,6 +11,7 @@ from repro.sim import (
     SimulationError,
     UnhandledProcessError,
 )
+from repro.validation.fingerprint import RunRecorder
 
 
 def test_clock_starts_at_initial_time():
@@ -325,3 +328,63 @@ def test_waiting_on_already_processed_event():
     env.process(proc(env))
     env.run()
     assert results == ["early"]
+
+
+def _run_script(script) -> tuple[str, int, list[float]]:
+    """Interpret a random script of timeouts, spawns, interrupts and
+    far-future hops; return the run's digest, event count, and the
+    ``when`` of every processed event in order."""
+    env = Environment()
+    recorder = RunRecorder(env, keep_events=False)
+    whens: list[float] = []
+    env.add_monitor(lambda when, _seq, _event: whens.append(when))
+    spawned = []
+
+    def worker(delays):
+        try:
+            for delay in delays:
+                yield env.timeout(delay)
+        except BaseException:
+            # Interrupted mid-wait: die quietly. The cancellation
+            # itself (remove_callback on the pending Timeout, the path
+            # Quorum / Hedge / timeouts all share) is what is under test.
+            return
+
+    def spawner():
+        for delay, kind in script:
+            if kind == 0:
+                yield env.timeout(delay)
+            elif kind == 1:
+                spawned.append(env.process(
+                    worker([delay, delay / 2, delay * 3])))
+            elif kind == 2 and spawned:
+                victim = spawned.pop()
+                # Only interrupt processes that have started (are
+                # waiting on a target): interrupting before bootstrap
+                # double-resumes — a documented Process.interrupt
+                # precondition.
+                if victim.is_alive and victim._target is not None:
+                    victim.interrupt("cancelled")
+                yield env.timeout(delay / 7)
+            else:
+                # Far-future hop: must interleave correctly with the
+                # near entries still pending.
+                yield env.timeout(delay * 1000.0)
+
+    env.process(spawner())
+    env.run()
+    return recorder.finish().digest, recorder.n_events, whens
+
+
+@given(script=st.lists(
+    st.tuples(
+        st.floats(min_value=1e-6, max_value=50.0,
+                  allow_nan=False, allow_infinity=False),
+        st.integers(min_value=0, max_value=3)),
+    min_size=1, max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_cancellation_heavy_scripts_replay_in_time_order(script):
+    digest, n_events, whens = _run_script(script)
+    again_digest, again_events, _ = _run_script(script)
+    assert (again_digest, again_events) == (digest, n_events)
+    assert whens == sorted(whens)

@@ -8,8 +8,7 @@ Covers the scale-proof analytics contracts:
 * streaming P² self-time quantiles vs the exhaustive per-trace walk;
 * replay-fingerprint identity: sampled, unsampled, and obs-disabled
   runs of the same seeded scenario are byte-identical;
-* ring-buffer eviction keeps the per-service indexes consistent under
-  both schedulers.
+* ring-buffer eviction keeps the per-service indexes consistent.
 """
 
 import numpy as np
@@ -283,9 +282,8 @@ class TestFingerprintIdentity:
 class TestEvictionConsistency:
     """Per-service indexes track the ring exactly through eviction."""
 
-    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-    def test_indexes_match_ring_after_overflow(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_indexes_match_ring_after_overflow(self):
+        env = Environment()
         streams = RandomStreams(3)
         app = build_chain(env, streams, depth=3, demand_ms=2.0,
                           threads=4)
@@ -305,14 +303,13 @@ class TestEvictionConsistency:
             # Exactly one span per stored trace in a linear chain, all
             # belonging to live (non-evicted) traces, sorted by
             # departure.
-            assert len(indexed) == 16, (scheduler, service)
+            assert len(indexed) == 16, service
             assert all(id(span) in kept_spans for span in indexed)
             departures = [span.departure for span in indexed]
             assert departures == sorted(departures)
 
-    @pytest.mark.parametrize("scheduler", ["heap", "wheel"])
-    def test_eviction_composes_with_sampling(self, scheduler):
-        env = Environment(scheduler=scheduler)
+    def test_eviction_composes_with_sampling(self):
+        env = Environment()
         streams = RandomStreams(3)
         app = build_chain(env, streams, depth=2, demand_ms=2.0,
                           threads=4)
