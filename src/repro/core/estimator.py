@@ -109,7 +109,7 @@ class ConcurrencyEstimator:
             since=since, use_threshold=self._uses_goodput)
         threshold = (self.threshold_provider()
                      if self._uses_goodput else None)
-        with self.obs.phase(f"estimate:{self.model.name}"):
+        with self.obs.phase(f"estimate.{self.target.name}"):
             if self._uses_goodput:
                 estimate = self.model.estimate(concurrency, rate,
                                                threshold=threshold)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-import time
 import typing as _t
 from dataclasses import dataclass
 
@@ -249,17 +248,24 @@ class ConcurrencyAdaptationFramework:
     # Control
     # ------------------------------------------------------------------
     def control(self) -> None:
-        """One adapter iteration: localize, propagate, estimate, apply."""
+        """One adapter iteration: localize, propagate, estimate, apply.
+
+        With observability on, the round is self-traced under the
+        recorder's shared phase names (``estimate.<target>`` spans nest
+        under ``scg_estimation``) and its wall time is stamped on the
+        round's decision record.
+        """
         obs = self.obs
-        wall_started = time.perf_counter() if obs else 0.0
+        obs.flight.begin_round()
         now = self.env.now
-        since = now - self.config.localization_window
-        traces = self.app.warehouse.traces(since, now)
-        analytics = (self.app.warehouse.analytics
-                     if self.config.localize_from_aggregates else None)
-        with obs.phase("localize"):
+        with obs.phase("ingest"):
+            since = now - self.config.localization_window
+            traces = self.app.warehouse.traces(since, now)
             utilizations = self.monitoring.utilizations(
                 self.config.localization_window)
+        analytics = (self.app.warehouse.analytics
+                     if self.config.localize_from_aggregates else None)
+        with obs.phase("localization"):
             if analytics is not None:
                 report = self.locator.locate_from_aggregate(
                     analytics, utilizations)
@@ -269,7 +275,7 @@ class ConcurrencyAdaptationFramework:
 
         if self.propagator is not None and \
                 self.config.use_deadline_propagation:
-            with obs.phase("propagate"):
+            with obs.phase("deadline_propagation"):
                 for target in self.targets:
                     deadline = self.propagator.propagate(
                         traces, target.service.name)
@@ -284,10 +290,19 @@ class ConcurrencyAdaptationFramework:
         if not self.config.adapt_only_critical or critical is None \
                 or not matched:
             matched = self.targets
-        with obs.phase("adapt"):
+        with obs.phase("scg_estimation"):
             decisions = tuple(self._adapt(target, trigger="periodic")
                               for target in matched)
         if obs:
+            with obs.phase("decision"):
+                thresholds = {t.name: self._thresholds[t.name]
+                              for t in self.targets
+                              if self._thresholds[t.name] != float("inf")}
+                obs.registry.counter("controller.rounds").inc()
+            wall_ms = obs.flight.record_round(
+                round_index=len(self.reports), time=now,
+                trigger="periodic", critical_service=critical,
+                decisions=[decision.target for decision in decisions])
             obs.record(ControlRoundRecord(
                 time=now, controller=self.model_name,
                 trigger="periodic",
@@ -295,13 +310,10 @@ class ConcurrencyAdaptationFramework:
                 dominant_path=report.dominant_path,
                 correlations=dict(report.correlations),
                 candidates=report.candidates,
-                thresholds={t.name: self._thresholds[t.name]
-                            for t in self.targets
-                            if self._thresholds[t.name] != float("inf")},
+                thresholds=thresholds,
                 decisions=decisions,
                 traces=len(traces),
-                wall_ms=(time.perf_counter() - wall_started) * 1e3))
-            obs.registry.counter("controller.rounds").inc()
+                wall_ms=wall_ms))
 
     def _decision(self, target: SoftResourceTarget, trigger: Trigger,
                   outcome: str, reason: str, before: int, after: int,

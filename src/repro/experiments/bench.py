@@ -69,11 +69,6 @@ def _best_of(fn: _t.Callable[[], _t.Any],
     return best, value
 
 
-def _events_scheduled(env: Environment) -> int:
-    """Total events the environment scheduled (its id counter)."""
-    return next(env._eid)
-
-
 def bench_timeout_chain(n: int = 100_000,
                         repeats: int = REPEATS) -> dict:
     """Schedule+fire cost of a long timeout chain."""
@@ -87,7 +82,7 @@ def bench_timeout_chain(n: int = 100_000,
 
         env.process(chain(env))
         env.run()
-        return _events_scheduled(env)
+        return env.events_scheduled
 
     seconds, events = _best_of(run, repeats)
     return {
@@ -113,7 +108,7 @@ def bench_cpu_scheduler(jobs: int = 50_000,
 
         env.process(feeder(env))
         env.run()
-        return _events_scheduled(env)
+        return env.events_scheduled
 
     seconds, events = _best_of(run, repeats)
     return {
@@ -167,7 +162,7 @@ def bench_sock_shop(requests: int = 2000,
 
         env.process(feeder(env))
         env.run()
-        return app.latency["cart"].total, _events_scheduled(env)
+        return app.latency["cart"].total, env.events_scheduled
 
     seconds, (completed, events) = _best_of(run, repeats)
     return {
@@ -217,7 +212,7 @@ def bench_sampling_overhead(requests: int = 2000,
         env.process(feeder(env))
         env.run()
         return (app.warehouse.total_recorded, len(app.warehouse),
-                _events_scheduled(env))
+                env.events_scheduled)
 
     base_s, (base_traces, _stored, base_events) = _best_of(
         lambda: run("bare"), repeats)
@@ -531,7 +526,7 @@ def _des_closed_loop(users: int, duration: float) -> dict:
     started = time.perf_counter()
     env.run(until=duration)
     seconds = time.perf_counter() - started
-    events = _events_scheduled(env)
+    events = env.events_scheduled
     completed = app.latency["cart"].total
     return {
         "users": users,

@@ -107,7 +107,7 @@ class ScenarioResult:
     adaptation_actions: list[AdaptationAction]
     total_submitted: int
     #: The run's observability scope (disabled NULL when the scenario
-    #: did not opt in); carries the decision log and profiles.
+    #: did not opt in); carries the decision log and phase timings.
     obs: "obs_mod.Observability" = field(
         default_factory=lambda: obs_mod.NULL)
     #: Requests abandoned after exhausting resilience policies.
@@ -203,11 +203,12 @@ def _telemetry_pump(scenario: Scenario, slo: "SLOMonitor | None",
     request type, folds their latencies into a P² sketch (so P50/P99
     series never retain raw samples), feeds the SLO monitor (counting
     abandoned requests as bad), evaluates burn-rate rules, and records
-    the goodput / latency / pool / breaker / burn-rate series. The
-    pump is a pure observer — it reads simulation state and writes
-    only into ``scenario.obs`` — so enabling it never changes
-    simulated outcomes; it is only *started* when telemetry is on, so
-    default runs keep byte-identical replay fingerprints.
+    the goodput / latency / event-queue depth / pool / breaker /
+    burn-rate series. The pump is a pure observer — it reads
+    simulation state and writes only into ``scenario.obs`` — so
+    enabling it never changes simulated outcomes; it is only *started*
+    when telemetry is on, so default runs keep byte-identical replay
+    fingerprints.
     """
     from repro.obs.sketch import QuantileSketch
 
@@ -230,6 +231,7 @@ def _telemetry_pump(scenario: Scenario, slo: "SLOMonitor | None",
         last_drained = now
         good = int(np.count_nonzero(latencies <= sla))
         timeline.record("goodput", now, good / interval)
+        timeline.record("sim.queue_depth", now, float(env.queue_depth))
         if latencies.size:
             sketch.observe_many(latencies)
             timeline.record("latency.p50", now, sketch.quantile(0.5))
@@ -296,7 +298,6 @@ def run_scenario(scenario: Scenario, duration: float,
     obs = scenario.obs
     slo = _attach_slo(scenario)
     if obs:
-        obs.watch_engine(env)
         logger.info("running %s for %.0fs (observability on)",
                     scenario.name, duration)
         if scenario.monitoring.obs is None:
@@ -321,7 +322,7 @@ def run_scenario(scenario: Scenario, duration: float,
     with obs.phase("run"):
         env.run(until=duration + drain)
     if obs:
-        obs.unwatch_engine()
+        obs.registry.counter("sim.events").inc(env.events_scheduled)
 
     times, latencies = scenario.app.latency[
         scenario.request_type].window(0.0, duration + drain)

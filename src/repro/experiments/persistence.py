@@ -51,9 +51,9 @@ def _telemetry_from_dict(payload: dict | None
     """Rebuild an enabled Observability scope from persisted telemetry.
 
     Only the persisted halves are restored (timeline, decision log,
-    SLO state); profilers start empty and the metrics snapshot — being
-    point-in-time summaries, not instruments — is kept on the returned
-    scope as ``restored_metrics``.
+    SLO state); the flight recorder starts empty and the metrics
+    snapshot — being point-in-time summaries, not instruments — is
+    kept on the returned scope as ``restored_metrics``.
     """
     if not payload:
         return obs_mod.NULL

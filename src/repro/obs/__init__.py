@@ -7,9 +7,10 @@ the controllers thread through:
   bounded histograms);
 - a :class:`~repro.obs.events.DecisionLog` of typed control-round /
   scale-event / drift records (JSONL-exportable);
-- a :class:`~repro.obs.profiling.PhaseProfiler` for SCG phase wall
-  timings, plus an optional
-  :class:`~repro.obs.profiling.EngineProfiler` on the event loop;
+- a :class:`~repro.obs.flight.FlightRecorder`, the one wall-clock
+  self-timer: per-phase aggregates plus a ring of control rounds as
+  span trees (the embedded controller and the service share it and
+  its :data:`~repro.obs.flight.PHASES` names);
 - :func:`~repro.obs.logconfig.configure_logging` for the ``repro.*``
   stdlib-logging namespace (quiet by default).
 
@@ -22,7 +23,6 @@ one boolean check, which is what keeps the PR-2 fast paths fast.
 from __future__ import annotations
 
 import contextlib
-import typing as _t
 
 from repro.obs.events import (
     AlertRecord,
@@ -36,7 +36,7 @@ from repro.obs.events import (
     record_from_dict,
 )
 from repro.obs.logconfig import configure_logging, quiet
-from repro.obs.profiling import EngineProfiler, PhaseProfiler, PhaseStats
+from repro.obs.flight import PHASES, FlightRecorder
 from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.sketch import P2Quantile, QuantileSketch
 from repro.obs.slo import DEFAULT_RULES, BurnRateRule, SLOMonitor, SLOSpec
@@ -48,15 +48,12 @@ from repro.obs.timeline import (
     annotations_from_log,
 )
 
-if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.engine import Environment
-
 #: Reusable no-op context manager handed out by disabled phase().
 _NULL_CONTEXT = contextlib.nullcontext()
 
 
 class Observability:
-    """Run-scoped observability state (registry + log + profilers).
+    """Run-scoped observability state (registry + log + recorder).
 
     Args:
         enabled: master switch; a disabled instance is inert and
@@ -82,8 +79,9 @@ class Observability:
         self.curve_points = curve_points
         self.registry = MetricsRegistry(enabled=enabled)
         self.decisions = DecisionLog(max_records=max_records)
-        self.profiler = PhaseProfiler()
-        self.engine: EngineProfiler | None = None
+        #: Phase timings and self-traced rounds; a service replaces it
+        #: with a recorder sized by its own round-ring setting.
+        self.flight = FlightRecorder() if enabled else FlightRecorder(0)
         self.timeline = (Timeline(capacity=timeline_capacity)
                          if enabled and telemetry else NULL_TIMELINE)
         #: SLO monitor attached by the harness when the scenario
@@ -128,25 +126,7 @@ class Observability:
         """Context manager timing one named control phase."""
         if not self.enabled:
             return _NULL_CONTEXT
-        return self.profiler.phase(name)
-
-    # ------------------------------------------------------------------
-    # Engine profiling
-    # ------------------------------------------------------------------
-    def watch_engine(self, env: "Environment",
-                     sample_every: int = 2048) -> None:
-        """Attach an event-loop profiler to ``env`` (no-op when
-        disabled)."""
-        if not self.enabled:
-            return
-        if self.engine is None:
-            self.engine = EngineProfiler(env, sample_every=sample_every)
-        self.engine.attach()
-
-    def unwatch_engine(self) -> None:
-        """Detach the event-loop profiler, if attached."""
-        if self.engine is not None:
-            self.engine.detach()
+        return self.flight.phase(name)
 
     # ------------------------------------------------------------------
     # Export
@@ -155,9 +135,7 @@ class Observability:
         """JSON-ready snapshot of everything but the decision log."""
         return {
             "metrics": self.registry.snapshot(),
-            "phases": self.profiler.summary(),
-            "engine": (self.engine.summary()
-                       if self.engine is not None else None),
+            "phases": self.flight.phase_summary(),
             "slo": (self.slo.state_dict()
                     if self.slo is not None else None),
         }
@@ -188,16 +166,15 @@ __all__ = [
     "Counter",
     "DecisionLog",
     "DriftRecord",
-    "EngineProfiler",
     "FaultRecord",
+    "FlightRecorder",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
     "ObsRecord",
     "Observability",
     "P2Quantile",
-    "PhaseProfiler",
-    "PhaseStats",
+    "PHASES",
     "QuantileSketch",
     "SLOMonitor",
     "SLOSpec",

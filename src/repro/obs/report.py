@@ -1,7 +1,7 @@
 """Per-run explainability report: text and HTML renderings.
 
 Turns an :class:`~repro.obs.Observability` capture (decision log +
-phase timings + engine profile + metrics) into the artifact a human
+phase timings + event-loop summary + metrics) into the artifact a human
 reads after a run: a timeline of every adaptation with its recorded
 cause (knee point, propagated threshold, saturation rule), knee-curve
 snapshots, hardware scale events, and where the controller's wall time
@@ -60,14 +60,14 @@ _DECISION_HEADERS = ["t[s]", "target", "allocation", "reason",
                      "confidence"]
 
 
-def _hold_counts(log: DecisionLog) -> dict[str, int]:
+def _hold_rows(log: DecisionLog) -> list[list[str]]:
     counts: dict[str, int] = {}
     for record in log.rounds():
         for decision in record.decisions:
             if decision.outcome == "hold":
                 counts[decision.reason] = \
                     counts.get(decision.reason, 0) + 1
-    return counts
+    return [[reason, str(count)] for reason, count in sorted(counts.items())]
 
 
 def _curve_snapshots(log: DecisionLog, limit: int = 4
@@ -173,152 +173,152 @@ _TRACE_PATH_HEADERS = ["critical path", "count", "mean duration[ms]"]
 
 
 # ----------------------------------------------------------------------
+# Report body (shared by both renderers)
+# ----------------------------------------------------------------------
+_PHASE_HEADERS = ["phase", "calls", "total[ms]", "mean[ms]", "max[ms]"]
+
+
+def _phase_rows(phases: dict[str, dict]) -> list[list[str]]:
+    return [[name, str(stats["count"]), f"{stats['total_ms']:.2f}",
+             f"{stats['mean_ms']:.3f}", f"{stats['max_ms']:.3f}"]
+            for name, stats in phases.items()]
+
+
+def _sampling_line(obs: "Observability") -> str | None:
+    """Trace-sampling coverage sentence, or ``None`` without a sampler."""
+    sampler = getattr(obs, "trace_sampler", None)
+    if sampler is None or not sampler.total:
+        return None
+    cov = sampler.coverage()
+    violating = cov["slo_violating"]
+    return (f"{cov['sampler']} sampler kept {cov['kept']}/{cov['total']}"
+            f" ({cov['stored_fraction'] * 100:.1f}%), SLO-violating "
+            f"retention {violating['retention'] * 100:.1f}% "
+            f"({violating['kept']}/{violating['total']})")
+
+
+def _metric_rows(obs: "Observability") -> list[list[str]]:
+    rows = []
+    for name, snap in obs.registry.snapshot().items():
+        if snap["type"] == "counter":
+            rows.append([name, f"{snap['value']:g}"])
+        elif snap["type"] == "gauge":
+            rows.append([name, _fmt_opt(snap["value"], "g")])
+        else:
+            rows.append([name, f"n={snap['count']}" + (
+                f" mean={snap['mean']:.4g} p95={snap['p95']:.4g}"
+                if snap["count"] else "")])
+    return rows
+
+
+def _event_loop(obs: "Observability",
+                phases: dict[str, dict]) -> str | None:
+    """One-line event-loop summary of a simulator run, else ``None``.
+
+    Events come from the ``sim.events`` counter the harness sets after
+    the run, wall seconds from the recorder's ``run`` phase, and queue
+    depth from the ``sim.queue_depth`` series of the telemetry pump.
+    """
+    run = phases.get("run")
+    if run is None or "sim.events" not in obs.registry.names():
+        return None
+    events = obs.registry.counter("sim.events").value
+    wall = run["total_ms"] / 1e3
+    rate = events / wall if wall > 0 else 0.0
+    line = (f"{events:,.0f} events in {wall:.3f}s wall "
+            f"({rate:,.0f} events/s)")
+    if "sim.queue_depth" in obs.timeline.names():
+        _times, depths = obs.timeline.series("sim.queue_depth").data()
+        if depths.size:
+            line += (f", queue depth mean {depths.mean():.1f} "
+                     f"max {depths.max():.0f}")
+    return line
+
+
+def _counts(log: DecisionLog) -> list[str]:
+    return [f"{len(log.rounds())} control rounds",
+            f"{len(log.applied())} adaptations applied",
+            f"{len(log.scale_events())} hardware scale events",
+            f"{len(_drift_rows(log))} drift detections",
+            f"{len(log.fault_events())} fault transitions",
+            f"{len(log.alerts())} SLO alert transitions",
+            f"{log.total_recorded} records total"]
+
+
+def _blocks(obs: "Observability") -> list[tuple[str, _t.Any, _t.Any]]:
+    """The report body in order, empty sections left out.
+
+    Each block is ``(title, headers, body)``: a table when ``headers``
+    is set, else a sentence (``body`` is a string) or the knee-curve
+    snapshots (``body`` is a list of ``(time, decision)``).
+    """
+    log = obs.decisions
+    blocks = [
+        ("Injected faults (what the plan did to the system)",
+         _FAULT_HEADERS, _fault_rows(log)),
+        ("SLO burn-rate alerts (fire/clear transitions)",
+         _ALERT_HEADERS, _alert_rows(log)),
+        ("Adaptation timeline (why each pool size changed)",
+         _DECISION_HEADERS, _decision_rows(log)) if log.applied() else
+        ("Adaptation timeline", None, "No adaptations were applied."),
+        ("Hold decisions (rounds that changed nothing)",
+         ["hold reason", "rounds"], _hold_rows(log)),
+        ("Knee-curve snapshots (rate vs concurrency; * marks the knee)",
+         None, _curve_snapshots(log)),
+        ("Localization (most recent rounds)", _LOCALIZATION_HEADERS,
+         _localization_rows(log)),
+    ]
+    analytics = getattr(obs, "trace_analytics", None)
+    if analytics is not None and analytics.traces_observed:
+        blocks += [
+            (f"Streaming critical-path aggregates "
+             f"({analytics.traces_observed} traces, pre-sampling)",
+             _TRACE_ANALYTICS_HEADERS, _trace_analytics_rows(analytics)),
+            ("Top critical-path patterns", _TRACE_PATH_HEADERS,
+             _trace_path_rows(analytics))]
+    phases = obs.flight.phase_summary()
+    blocks += [
+        ("Trace sampling", None, _sampling_line(obs)),
+        ("Hardware scale events", _SCALE_HEADERS, _scale_rows(log)),
+        ("Drift detections", ["t[s]", "target"], _drift_rows(log)),
+        ("Control-loop phase timings (wall clock)", _PHASE_HEADERS,
+         _phase_rows(phases)),
+        ("Event loop", None, _event_loop(obs, phases)),
+        ("Metrics registry", ["metric", "value"], _metric_rows(obs)),
+    ]
+    return [block for block in blocks if block[2]]
+
+
+# ----------------------------------------------------------------------
 # Text rendering
 # ----------------------------------------------------------------------
 def render_text(obs: "Observability", *, title: str = "run") -> str:
     """The explainability report as plain text."""
     from repro.experiments.reporting import ascii_table, sparkline
 
-    log = obs.decisions
-    lines: list[str] = [f"obs report — {title}",
-                        "=" * (13 + len(title)), ""]
-
-    applied = log.applied()
-    lines.append(f"{len(log.rounds())} control rounds, "
-                 f"{len(applied)} adaptations applied, "
-                 f"{len(log.scale_events())} hardware scale events, "
-                 f"{len(_drift_rows(log))} drift detections, "
-                 f"{len(log.fault_events())} fault transitions, "
-                 f"{len(log.alerts())} SLO alert transitions "
-                 f"({log.total_recorded} records total)")
-    lines.append("")
-
-    fault_rows = _fault_rows(log)
-    if fault_rows:
-        lines.append(ascii_table(
-            _FAULT_HEADERS, fault_rows,
-            title="Injected faults (what the plan did to the system)"))
+    lines = [f"obs report — {title}", "=" * (13 + len(title)), "",
+             ", ".join(_counts(obs.decisions)), ""]
+    for heading, headers, body in _blocks(obs):
+        if headers is not None:
+            lines.append(ascii_table(headers, body, title=heading))
+        elif isinstance(body, str):
+            lines.append(f"{heading}: {body}")
+        else:
+            lines.append(heading)
+            for when, decision in body:
+                rates = [rate for _q, rate in decision.curve]
+                marker = ""
+                if decision.knee_concurrency is not None:
+                    qs = [q for q, _r in decision.curve]
+                    nearest = min(range(len(qs)), key=lambda i: abs(
+                        qs[i] - decision.knee_concurrency))
+                    marker = (f"  knee at "
+                              f"Q={decision.knee_concurrency:.1f}"
+                              f" (col {nearest + 1})")
+                lines.append(f"  t={when:.1f} {decision.target} "
+                             f"[{decision.method}] "
+                             f"{sparkline(rates, width=48)}{marker}")
         lines.append("")
-
-    alert_rows = _alert_rows(log)
-    if alert_rows:
-        lines.append(ascii_table(
-            _ALERT_HEADERS, alert_rows,
-            title="SLO burn-rate alerts (fire/clear transitions)"))
-        lines.append("")
-
-    if applied:
-        lines.append(ascii_table(
-            _DECISION_HEADERS, _decision_rows(log),
-            title="Adaptation timeline (why each pool size changed)"))
-    else:
-        lines.append("No adaptations were applied.")
-    lines.append("")
-
-    holds = _hold_counts(log)
-    if holds:
-        lines.append(ascii_table(
-            ["hold reason", "rounds"],
-            [[reason, str(count)]
-             for reason, count in sorted(holds.items())],
-            title="Hold decisions (rounds that changed nothing)"))
-        lines.append("")
-
-    snapshots = _curve_snapshots(log)
-    if snapshots:
-        lines.append("Knee-curve snapshots (rate vs concurrency; "
-                     "* marks the knee)")
-        for when, decision in snapshots:
-            assert decision.curve is not None
-            rates = [rate for _q, rate in decision.curve]
-            marker = ""
-            if decision.knee_concurrency is not None:
-                qs = [q for q, _r in decision.curve]
-                nearest = min(range(len(qs)), key=lambda i: abs(
-                    qs[i] - _t.cast(float, decision.knee_concurrency)))
-                marker = (f"  knee at Q={decision.knee_concurrency:.1f}"
-                          f" (col {nearest + 1})")
-            lines.append(f"  t={when:.1f} {decision.target} "
-                         f"[{decision.method}] "
-                         f"{sparkline(rates, width=48)}{marker}")
-        lines.append("")
-
-    localization = _localization_rows(log)
-    if localization:
-        lines.append(ascii_table(
-            _LOCALIZATION_HEADERS, localization,
-            title="Localization (most recent rounds)"))
-        lines.append("")
-
-    analytics = getattr(obs, "trace_analytics", None)
-    if analytics is not None and analytics.traces_observed:
-        lines.append(ascii_table(
-            _TRACE_ANALYTICS_HEADERS, _trace_analytics_rows(analytics),
-            title=f"Streaming critical-path aggregates "
-                  f"({analytics.traces_observed} traces, pre-sampling)"))
-        lines.append("")
-        lines.append(ascii_table(
-            _TRACE_PATH_HEADERS, _trace_path_rows(analytics),
-            title="Top critical-path patterns"))
-        lines.append("")
-    sampler = getattr(obs, "trace_sampler", None)
-    if sampler is not None and sampler.total:
-        cov = sampler.coverage()
-        lines.append(
-            f"Trace sampling ({cov['sampler']}): kept "
-            f"{cov['kept']}/{cov['total']} "
-            f"({cov['stored_fraction'] * 100:.1f}%), SLO-violating "
-            f"retention {cov['slo_violating']['retention'] * 100:.1f}% "
-            f"({cov['slo_violating']['kept']}"
-            f"/{cov['slo_violating']['total']})")
-        lines.append("")
-
-    scale_rows = _scale_rows(log)
-    if scale_rows:
-        lines.append(ascii_table(_SCALE_HEADERS, scale_rows,
-                                 title="Hardware scale events"))
-        lines.append("")
-
-    drift_rows = _drift_rows(log)
-    if drift_rows:
-        lines.append(ascii_table(["t[s]", "target"], drift_rows,
-                                 title="Drift detections"))
-        lines.append("")
-
-    phases = obs.profiler.summary()
-    if phases:
-        lines.append(ascii_table(
-            ["phase", "calls", "total[ms]", "mean[ms]", "max[ms]"],
-            [[name, str(stats["count"]), f"{stats['total_ms']:.2f}",
-              f"{stats['mean_ms']:.3f}", f"{stats['max_ms']:.3f}"]
-             for name, stats in phases.items()],
-            title="Control-loop phase timings (wall clock)"))
-        lines.append("")
-
-    if obs.engine is not None:
-        engine = obs.engine.summary()
-        lines.append("Event loop: "
-                     f"{engine['events']:,} events in "
-                     f"{engine['wall_seconds']:.3f}s wall "
-                     f"({engine['events_per_sec']:,.0f} events/s), "
-                     f"queue depth mean {engine['queue_depth_mean']:g} "
-                     f"max {engine['queue_depth_max']}")
-        lines.append("")
-
-    metrics = obs.registry.snapshot()
-    if metrics:
-        rows = []
-        for name, snap in metrics.items():
-            if snap["type"] == "counter":
-                rows.append([name, f"{snap['value']:g}"])
-            elif snap["type"] == "gauge":
-                rows.append([name, _fmt_opt(snap["value"], "g")])
-            else:
-                rows.append([name, f"n={snap['count']}" + (
-                    f" mean={snap['mean']:.4g} p95={snap['p95']:.4g}"
-                    if snap["count"] else "")])
-        lines.append(ascii_table(["metric", "value"], rows,
-                                 title="Metrics registry"))
     return "\n".join(lines).rstrip() + "\n"
 
 
@@ -386,126 +386,25 @@ def _curve_svg(decision: TargetDecision, width: int = 320,
 
 def render_html(obs: "Observability", *, title: str = "run") -> str:
     """The explainability report as a self-contained HTML document."""
-    log = obs.decisions
     parts: list[str] = [
         "<!DOCTYPE html><html><head><meta charset='utf-8'>",
         f"<title>obs report — {_html.escape(title)}</title>",
         f"<style>{_CSS}</style></head><body>",
         f"<h1>obs report — {_html.escape(title)}</h1>",
-        f"<p class='summary'>{len(log.rounds())} control rounds · "
-        f"{len(log.applied())} adaptations applied · "
-        f"{len(log.scale_events())} hardware scale events · "
-        f"{len(_drift_rows(log))} drift detections · "
-        f"{len(log.fault_events())} fault transitions · "
-        f"{len(log.alerts())} SLO alert transitions · "
-        f"{log.total_recorded} records total</p>",
+        f"<p class='summary'>{' · '.join(_counts(obs.decisions))}</p>",
     ]
-
-    fault_rows = _fault_rows(log)
-    if fault_rows:
-        parts.append("<h2>Injected faults</h2>")
-        parts.append(_html_table(_FAULT_HEADERS, fault_rows))
-
-    alert_rows = _alert_rows(log)
-    if alert_rows:
-        parts.append("<h2>SLO burn-rate alerts</h2>")
-        parts.append(_html_table(_ALERT_HEADERS, alert_rows))
-
-    rows = _decision_rows(log)
-    parts.append("<h2>Adaptation timeline</h2>")
-    parts.append(_html_table(_DECISION_HEADERS, rows) if rows
-                 else "<p>No adaptations were applied.</p>")
-
-    holds = _hold_counts(log)
-    if holds:
-        parts.append("<h2>Hold decisions</h2>")
-        parts.append(_html_table(
-            ["hold reason", "rounds"],
-            [[reason, str(count)]
-             for reason, count in sorted(holds.items())]))
-
-    snapshots = _curve_snapshots(log)
-    if snapshots:
-        parts.append("<h2>Knee-curve snapshots</h2>")
-        for when, decision in snapshots:
-            parts.append(
-                f"<p>t={when:.1f}s — {_html.escape(decision.target)} "
-                f"({_html.escape(decision.method or '-')}, "
-                f"{decision.before} → {decision.after})</p>")
-            parts.append(_curve_svg(decision))
-
-    localization = _localization_rows(log)
-    if localization:
-        parts.append("<h2>Localization (most recent rounds)</h2>")
-        parts.append(_html_table(_LOCALIZATION_HEADERS, localization))
-
-    analytics = getattr(obs, "trace_analytics", None)
-    if analytics is not None and analytics.traces_observed:
-        parts.append("<h2>Streaming critical-path aggregates</h2>")
-        parts.append(
-            f"<p class='summary'>{analytics.traces_observed} traces "
-            "aggregated before any sampling decision</p>")
-        parts.append(_html_table(_TRACE_ANALYTICS_HEADERS,
-                                 _trace_analytics_rows(analytics)))
-        parts.append("<h2>Top critical-path patterns</h2>")
-        parts.append(_html_table(_TRACE_PATH_HEADERS,
-                                 _trace_path_rows(analytics)))
-    sampler = getattr(obs, "trace_sampler", None)
-    if sampler is not None and sampler.total:
-        cov = sampler.coverage()
-        parts.append("<h2>Trace sampling coverage</h2>")
-        parts.append(
-            f"<p>{_html.escape(cov['sampler'])} sampler kept "
-            f"{cov['kept']}/{cov['total']} traces "
-            f"({cov['stored_fraction'] * 100:.1f}%); SLO-violating "
-            f"retention "
-            f"{cov['slo_violating']['retention'] * 100:.1f}% "
-            f"({cov['slo_violating']['kept']}"
-            f"/{cov['slo_violating']['total']})</p>")
-
-    scale_rows = _scale_rows(log)
-    if scale_rows:
-        parts.append("<h2>Hardware scale events</h2>")
-        parts.append(_html_table(_SCALE_HEADERS, scale_rows))
-
-    drift_rows = _drift_rows(log)
-    if drift_rows:
-        parts.append("<h2>Drift detections</h2>")
-        parts.append(_html_table(["t[s]", "target"], drift_rows))
-
-    phases = obs.profiler.summary()
-    if phases:
-        parts.append("<h2>Control-loop phase timings</h2>")
-        parts.append(_html_table(
-            ["phase", "calls", "total[ms]", "mean[ms]", "max[ms]"],
-            [[name, str(stats["count"]), f"{stats['total_ms']:.2f}",
-              f"{stats['mean_ms']:.3f}", f"{stats['max_ms']:.3f}"]
-             for name, stats in phases.items()]))
-
-    if obs.engine is not None:
-        engine = obs.engine.summary()
-        parts.append("<h2>Event loop</h2>")
-        parts.append(
-            f"<p>{engine['events']:,} events in "
-            f"{engine['wall_seconds']:.3f}s wall "
-            f"({engine['events_per_sec']:,.0f} events/s); queue depth "
-            f"mean {engine['queue_depth_mean']:g}, "
-            f"max {engine['queue_depth_max']}</p>")
-
-    metrics = obs.registry.snapshot()
-    if metrics:
-        parts.append("<h2>Metrics registry</h2>")
-        rows = []
-        for name, snap in metrics.items():
-            if snap["type"] == "counter":
-                rows.append([name, f"{snap['value']:g}"])
-            elif snap["type"] == "gauge":
-                rows.append([name, _fmt_opt(snap["value"], "g")])
-            else:
-                rows.append([name, f"n={snap['count']}" + (
-                    f" mean={snap['mean']:.4g} p95={snap['p95']:.4g}"
-                    if snap["count"] else "")])
-        parts.append(_html_table(["metric", "value"], rows))
-
+    for heading, headers, body in _blocks(obs):
+        parts.append(f"<h2>{_html.escape(heading)}</h2>")
+        if headers is not None:
+            parts.append(_html_table(headers, body))
+        elif isinstance(body, str):
+            parts.append(f"<p>{_html.escape(body)}</p>")
+        else:
+            for when, decision in body:
+                parts.append(
+                    f"<p>t={when:.1f}s — {_html.escape(decision.target)} "
+                    f"({_html.escape(decision.method or '-')}, "
+                    f"{decision.before} → {decision.after})</p>")
+                parts.append(_curve_svg(decision))
     parts.append("</body></html>")
     return "".join(parts)

@@ -17,9 +17,10 @@ clean layering:
   :mod:`repro.service.audit`) — the stdlib-asyncio HTTP JSON API plus
   JSONL journal/decision persistence with byte-exact audit replay,
   segment rotation, tamper chaining, and checkpoint compaction;
-- **observability of the observer** (:mod:`repro.service.flight`,
+- **observability of the observer** (:mod:`repro.obs.flight`,
   :mod:`repro.service.console`) — the flight recorder that self-traces
-  every control round and the live ops console that serves it;
+  every control round (the same recorder the embedded controller
+  uses) and the live ops console that serves it;
 - **driver** (:mod:`repro.service.driver`) — the DES simulator as an
   external load generator, closing the loop over real sockets.
 
@@ -29,6 +30,7 @@ CLI entry points: ``repro serve`` boots the service,
 and verifies byte-identity.
 """
 
+from repro.obs.flight import FlightRecorder
 from repro.service.api import ControllerService
 from repro.service.audit import (
     AuditJournal,
@@ -53,7 +55,6 @@ from repro.service.driver import (
     drive,
     render_snapshot,
 )
-from repro.service.flight import FlightRecorder
 from repro.service.ingest import (
     MetricsSnapshot,
     SeriesSample,

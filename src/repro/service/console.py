@@ -29,6 +29,7 @@ import html as _html
 import typing as _t
 
 from repro.obs.dashboard import _CSS, _panel_svg, render_dashboard_html
+from repro.obs.flight import PHASES
 
 if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.service.audit import AuditJournal
@@ -37,21 +38,16 @@ if _t.TYPE_CHECKING:  # pragma: no cover - type-only imports
 __all__ = ["render_service_dashboard"]
 
 #: Phase → color, pipeline order (colorblind-safe Set2-ish palette).
-_PHASE_COLORS = (
-    ("ingest", "#8da0cb"),
-    ("localization", "#66c2a5"),
-    ("deadline_propagation", "#fc8d62"),
-    ("scg_estimation", "#e78ac3"),
-    ("decision", "#a6d854"),
-)
+_PHASE_COLORS = tuple(zip(PHASES, ("#8da0cb", "#66c2a5", "#fc8d62",
+                                   "#e78ac3", "#a6d854")))
 
 #: Flame strips drawn on the console (newest rounds).
 _STRIP_ROUNDS = 24
 
 
 def _latency_panel(flight) -> str:
-    points = [(float(ordinal), wall)
-              for ordinal, wall in flight.latest_wall_ms()]
+    points = [(float(entry["round"]), entry["wall_ms"])
+              for entry in flight.summaries()]
     t_lo = points[0][0]
     t_hi = max(points[-1][0], t_lo + 1.0)
     return _panel_svg("round wall [ms]", points, t_lo, t_hi, ())

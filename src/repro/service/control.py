@@ -34,7 +34,6 @@ JSONL byte-for-byte.
 from __future__ import annotations
 
 import dataclasses
-import time as _time
 import typing as _t
 from collections import deque
 
@@ -45,6 +44,7 @@ from repro.core.localization import CriticalServiceLocator
 from repro.core.scg import SCGModel
 from repro.obs import (
     ControlRoundRecord,
+    FlightRecorder,
     Observability,
     QuantileSketch,
     SLOMonitor,
@@ -59,7 +59,6 @@ from repro.service.domain import (
     SeriesState,
     ServiceConfig,
 )
-from repro.service.flight import FlightRecorder
 from repro.service.ingest import parse_metrics_snapshot, parse_trace_batch
 from repro.tracing.analytics import CriticalPathAggregator
 from repro.tracing.critical_path import extract_critical_path
@@ -84,10 +83,6 @@ class ControlPlane:
         self.config = config or ServiceConfig()
         cfg = self.config
         self.max_records = max_records
-        #: Self-tracing flight recorder (falsy when
-        #: ``cfg.flight_rounds == 0`` — every hook below degrades to a
-        #: single truthiness check).
-        self.flight = FlightRecorder(cfg.flight_rounds)
         #: Decision JSONL lines carried over from a journal checkpoint;
         #: merged (and ring-truncated) into :meth:`decisions_jsonl`.
         self._restored_decisions: list[str] = []
@@ -97,6 +92,10 @@ class ControlPlane:
         self.model = SCGModel(cfg.scatter)
         self.analytics = CriticalPathAggregator()
         self.obs = Observability(max_records=max_records)
+        #: Phase timer and self-tracing round ring (falsy when
+        #: ``cfg.flight_rounds == 0``: phases are still timed for the
+        #: report, but no round is recorded).
+        self.flight = self.obs.flight = FlightRecorder(cfg.flight_rounds)
         self.obs.slo = SLOMonitor(SLOSpec(
             name="service-recommendation",
             latency_threshold=cfg.latency_slo))
@@ -152,59 +151,56 @@ class ControlPlane:
                 per-series clocks must be non-decreasing).
         """
         cfg = self.config
-        flight = self.flight
-        flight_started = flight.clock() if flight else 0.0
-        if self._pending >= cfg.max_pending:
-            self.obs.registry.counter("service.rejected").inc()
-            raise IngestError(
-                "backpressure",
-                f"{self._pending} snapshots already queued since the "
-                f"last control round (max_pending={cfg.max_pending}); "
-                f"retry after the next round")
-        snapshot = parse_metrics_snapshot(text, cfg)
-        fresh = [name for name in snapshot.series
-                 if name not in self._series]
-        if len(self._series) + len(fresh) > cfg.max_series:
-            self.obs.registry.counter("service.rejected").inc()
-            raise IngestError(
-                "series-limit",
-                f"snapshot would track {len(self._series) + len(fresh)}"
-                f" services (max_series={cfg.max_series})")
-        now = (snapshot.time if snapshot.time is not None
-               else self.now + 1.0)
-        # Reject time regressions *before* mutating anything: a partial
-        # apply would journal nothing yet leave live state diverged
-        # from the journal, breaking replay byte-identity.
-        stale = sorted(
-            name for name, sample in snapshot.series.items()
-            if not (np.isnan(sample.concurrency)
-                    or np.isnan(sample.rate))
-            and name in self._series
-            and self._series[name].snapshots > 0
-            and now < self._series[name].updated)
-        if stale:
-            self.obs.registry.counter("service.rejected").inc()
-            latest = max(self._series[name].updated for name in stale)
-            raise IngestError(
-                "stale-snapshot",
-                f"snapshot time {now} precedes already-observed "
-                f"samples (latest {latest}) for: {', '.join(stale)}")
-        self.now = max(self.now, now)
-        for name, sample in snapshot.series.items():
-            state = self._series.get(name)
-            if state is None:
-                state = self._series[name] = SeriesState(name)
-            if np.isnan(sample.concurrency) or np.isnan(sample.rate):
-                # Utilization-only enrichment: no pair to append.
-                if sample.utilization is not None:
-                    state.utilization = float(sample.utilization)
-                continue
-            state.observe(now, sample.concurrency, sample.rate,
-                          sample.utilization, sample.allocation)
-        self._pending += 1
-        self.snapshots_ingested += 1
-        if flight:
-            flight.note_ingest("metrics", flight_started)
+        with self.flight.phase("ingest.metrics"):
+            if self._pending >= cfg.max_pending:
+                self.obs.registry.counter("service.rejected").inc()
+                raise IngestError(
+                    "backpressure",
+                    f"{self._pending} snapshots already queued since the "
+                    f"last control round (max_pending={cfg.max_pending}); "
+                    f"retry after the next round")
+            snapshot = parse_metrics_snapshot(text, cfg)
+            fresh = [name for name in snapshot.series
+                     if name not in self._series]
+            if len(self._series) + len(fresh) > cfg.max_series:
+                self.obs.registry.counter("service.rejected").inc()
+                raise IngestError(
+                    "series-limit",
+                    f"snapshot would track {len(self._series) + len(fresh)}"
+                    f" services (max_series={cfg.max_series})")
+            now = (snapshot.time if snapshot.time is not None
+                   else self.now + 1.0)
+            # Reject time regressions *before* mutating anything: a partial
+            # apply would journal nothing yet leave live state diverged
+            # from the journal, breaking replay byte-identity.
+            stale = sorted(
+                name for name, sample in snapshot.series.items()
+                if not (np.isnan(sample.concurrency)
+                        or np.isnan(sample.rate))
+                and name in self._series
+                and self._series[name].snapshots > 0
+                and now < self._series[name].updated)
+            if stale:
+                self.obs.registry.counter("service.rejected").inc()
+                latest = max(self._series[name].updated for name in stale)
+                raise IngestError(
+                    "stale-snapshot",
+                    f"snapshot time {now} precedes already-observed "
+                    f"samples (latest {latest}) for: {', '.join(stale)}")
+            self.now = max(self.now, now)
+            for name, sample in snapshot.series.items():
+                state = self._series.get(name)
+                if state is None:
+                    state = self._series[name] = SeriesState(name)
+                if np.isnan(sample.concurrency) or np.isnan(sample.rate):
+                    # Utilization-only enrichment: no pair to append.
+                    if sample.utilization is not None:
+                        state.utilization = float(sample.utilization)
+                    continue
+                state.observe(now, sample.concurrency, sample.rate,
+                              sample.utilization, sample.allocation)
+            self._pending += 1
+            self.snapshots_ingested += 1
         self.obs.registry.counter("service.snapshots").inc()
         self.obs.registry.gauge("service.series").set(
             float(len(self._series)))
@@ -214,22 +210,19 @@ class ControlPlane:
 
     def ingest_traces(self, body: str | bytes) -> dict:
         """Fold one Jaeger-shaped trace batch into the aggregates."""
-        flight = self.flight
-        flight_started = flight.clock() if flight else 0.0
-        roots = parse_trace_batch(body)
-        for root in roots:
-            self.analytics.observe(root)
-            path = extract_critical_path(root)
-            budgets: dict[str, float] = {}
-            upstream = 0.0
-            for span in path.spans:
-                budgets[span.service] = upstream
-                upstream += span.self_time()
-            self._budgets.append(budgets)
-            self.now = max(self.now, _t.cast(float, root.departure))
-        self.traces_ingested += len(roots)
-        if flight:
-            flight.note_ingest("traces", flight_started)
+        with self.flight.phase("ingest.traces"):
+            roots = parse_trace_batch(body)
+            for root in roots:
+                self.analytics.observe(root)
+                path = extract_critical_path(root)
+                budgets: dict[str, float] = {}
+                upstream = 0.0
+                for span in path.spans:
+                    budgets[span.service] = upstream
+                    upstream += span.self_time()
+                self._budgets.append(budgets)
+                self.now = max(self.now, _t.cast(float, root.departure))
+            self.traces_ingested += len(roots)
         self.obs.registry.counter("service.traces").inc(len(roots))
         return {"accepted": True, "traces": len(roots),
                 "observed": self.analytics.traces_observed}
@@ -260,59 +253,55 @@ class ControlPlane:
         """Estimate one service's optimum and record the verdict."""
         cfg = self.config
         state = self._series[service]
-        flight = self.flight
-        est_started = flight.clock() if flight else 0.0
-        started = _time.perf_counter()
-        concurrency, rate = state.pairs(now - cfg.window)
-        estimate = self.model.estimate(concurrency, rate,
-                                       threshold=threshold)
-        previous = self.recommendations.get(service)
-        before = (state.allocation if state.allocation is not None
-                  else previous.allocation if previous is not None
-                  else cfg.min_allocation)
-        if estimate is None:
-            decision = TargetDecision(
-                target=service, trigger="round", outcome="hold",
-                reason="no-estimate", before=before, after=before,
-                threshold=threshold, samples=len(concurrency))
-        else:
-            allocation = min(cfg.max_allocation,
-                             max(cfg.min_allocation,
-                                 estimate.optimal_concurrency))
-            knee = estimate.knee
-            knee_q = float(knee.knee_x) if knee.found else None
-            knee_rate = float(knee.knee_y) if knee.found else None
-            decision = TargetDecision(
-                target=service, trigger="round",
-                outcome=("applied" if allocation != before else "hold"),
-                reason=(estimate.method if allocation != before
-                        else "unchanged"),
-                before=before, after=allocation, threshold=threshold,
-                method=estimate.method,
-                knee_concurrency=knee_q,
-                knee_rate=knee_rate,
-                poly_degree=estimate.fit.degree,
-                samples=estimate.samples,
-                max_concurrency=float(estimate.max_concurrency),
-                fit_r2=(float(estimate.fit_r2)
-                        if np.isfinite(estimate.fit_r2) else None))
-            self.recommendations[service] = Recommendation(
-                service=service, allocation=allocation, before=before,
-                method=estimate.method, threshold=threshold,
-                round=self.rounds + 1, time=now,
-                samples=estimate.samples,
-                max_concurrency=float(estimate.max_concurrency),
-                poly_degree=estimate.fit.degree,
-                fit_r2=(float(estimate.fit_r2)
-                        if np.isfinite(estimate.fit_r2) else None),
-                knee_concurrency=knee_q,
-                knee_rate=knee_rate)
-            self.obs.timeline.record(f"rec.{service}", now,
-                                     float(allocation))
-        wall = _time.perf_counter() - started
+        with self.flight.phase(f"estimate.{service}") as timer:
+            concurrency, rate = state.pairs(now - cfg.window)
+            estimate = self.model.estimate(concurrency, rate,
+                                           threshold=threshold)
+            previous = self.recommendations.get(service)
+            before = (state.allocation if state.allocation is not None
+                      else previous.allocation if previous is not None
+                      else cfg.min_allocation)
+            if estimate is None:
+                decision = TargetDecision(
+                    target=service, trigger="round", outcome="hold",
+                    reason="no-estimate", before=before, after=before,
+                    threshold=threshold, samples=len(concurrency))
+            else:
+                allocation = min(cfg.max_allocation,
+                                 max(cfg.min_allocation,
+                                     estimate.optimal_concurrency))
+                knee = estimate.knee
+                knee_q = float(knee.knee_x) if knee.found else None
+                knee_rate = float(knee.knee_y) if knee.found else None
+                decision = TargetDecision(
+                    target=service, trigger="round",
+                    outcome=("applied" if allocation != before else "hold"),
+                    reason=(estimate.method if allocation != before
+                            else "unchanged"),
+                    before=before, after=allocation, threshold=threshold,
+                    method=estimate.method,
+                    knee_concurrency=knee_q,
+                    knee_rate=knee_rate,
+                    poly_degree=estimate.fit.degree,
+                    samples=estimate.samples,
+                    max_concurrency=float(estimate.max_concurrency),
+                    fit_r2=(float(estimate.fit_r2)
+                            if np.isfinite(estimate.fit_r2) else None))
+                self.recommendations[service] = Recommendation(
+                    service=service, allocation=allocation, before=before,
+                    method=estimate.method, threshold=threshold,
+                    round=self.rounds + 1, time=now,
+                    samples=estimate.samples,
+                    max_concurrency=float(estimate.max_concurrency),
+                    poly_degree=estimate.fit.degree,
+                    fit_r2=(float(estimate.fit_r2)
+                            if np.isfinite(estimate.fit_r2) else None),
+                    knee_concurrency=knee_q,
+                    knee_rate=knee_rate)
+                self.obs.timeline.record(f"rec.{service}", now,
+                                         float(allocation))
+        wall = timer.elapsed
         self._wall_total += wall
-        if flight:
-            flight.note_estimate(service, est_started, flight.clock())
         self.latency.observe(wall)
         histogram = self.obs.registry.histogram(
             "service.recommendation.latency")
@@ -338,77 +327,76 @@ class ControlPlane:
             now = self.now
         self.now = max(self.now, now)
         flight = self.flight
-        mark_started = flight.clock() if flight else 0.0
-        utilizations = {name: state.utilization
-                        for name, state in self._series.items()
-                        if state.utilization is not None}
-        report = self.locator.locate_from_aggregate(
-            self.analytics, utilizations)
+        flight.begin_round()
+        with flight.phase("localization"):
+            utilizations = {name: state.utilization
+                            for name, state in self._series.items()
+                            if state.utilization is not None}
+            report = self.locator.locate_from_aggregate(
+                self.analytics, utilizations)
 
-        # Only services whose source exports pair telemetry can be
-        # estimated; utilization-only series still feed screening and
-        # correlations but cannot receive a verdict.
-        instrumented = {name for name, state in self._series.items()
-                        if state.snapshots > 0}
-        if cfg.decide_top_k == 0:
-            decided = sorted(instrumented)
-        else:
-            ranked = sorted(
-                (name for name in report.correlations
-                 if name in instrumented),
-                key=lambda name: -report.correlations[name])
-            decided = []
-            if report.critical_service in instrumented:
-                decided.append(
-                    _t.cast(str, report.critical_service))
-            for name in ranked:
-                if len(decided) >= cfg.decide_top_k:
-                    break
-                if name not in decided:
-                    decided.append(name)
-        mark_localized = flight.clock() if flight else 0.0
+            # Only services whose source exports pair telemetry can be
+            # estimated; utilization-only series still feed screening
+            # and correlations but cannot receive a verdict.
+            instrumented = {name for name, state in self._series.items()
+                            if state.snapshots > 0}
+            if cfg.decide_top_k == 0:
+                decided = sorted(instrumented)
+            else:
+                ranked = sorted(
+                    (name for name in report.correlations
+                     if name in instrumented),
+                    key=lambda name: -report.correlations[name])
+                decided = []
+                if report.critical_service in instrumented:
+                    decided.append(
+                        _t.cast(str, report.critical_service))
+                for name in ranked:
+                    if len(decided) >= cfg.decide_top_k:
+                        break
+                    if name not in decided:
+                        decided.append(name)
 
-        thresholds = {name: self._threshold(name) for name in decided}
-        mark_propagated = flight.clock() if flight else 0.0
-        decisions = tuple(self._decide(name, now, thresholds[name])
-                          for name in decided)
-        mark_decided = flight.clock() if flight else 0.0
-        record = ControlRoundRecord(
-            time=now, controller=CONTROLLER_NAME, trigger=trigger,
-            critical_service=report.critical_service,
-            dominant_path=report.dominant_path,
-            correlations=report.correlations,
-            candidates=report.candidates,
-            thresholds=thresholds,
-            decisions=decisions,
-            traces=self.analytics.traces_observed)
-        self.obs.record(record)
-        self.rounds += 1
-        self.decisions_made += len(decisions)
-        self._pending = 0
-        for state in self._series.values():
-            state.prune(now - 2.0 * cfg.window)
-        registry = self.obs.registry
-        registry.counter("service.rounds").inc()
-        registry.counter("service.decisions").inc(len(decisions))
-        registry.gauge("service.pending").set(0.0)
-        if self.latency.count:
-            registry.gauge("service.recommendation.p50.seconds").set(
-                self.latency.quantile(0.5))
-            registry.gauge("service.recommendation.p99.seconds").set(
-                self.latency.quantile(0.99))
-        if self._wall_total > 0.0:
-            registry.gauge("service.decisions.per.second").set(
-                self.decisions_made / self._wall_total)
-        self.obs.timeline.record("service.series", now,
-                                 float(len(self._series)))
+        with flight.phase("deadline_propagation"):
+            thresholds = {name: self._threshold(name) for name in decided}
+        with flight.phase("scg_estimation"):
+            decisions = tuple(self._decide(name, now, thresholds[name])
+                              for name in decided)
+        with flight.phase("decision"):
+            record = ControlRoundRecord(
+                time=now, controller=CONTROLLER_NAME, trigger=trigger,
+                critical_service=report.critical_service,
+                dominant_path=report.dominant_path,
+                correlations=report.correlations,
+                candidates=report.candidates,
+                thresholds=thresholds,
+                decisions=decisions,
+                traces=self.analytics.traces_observed)
+            self.obs.record(record)
+            self.rounds += 1
+            self.decisions_made += len(decisions)
+            self._pending = 0
+            for state in self._series.values():
+                state.prune(now - 2.0 * cfg.window)
+            registry = self.obs.registry
+            registry.counter("service.rounds").inc()
+            registry.counter("service.decisions").inc(len(decisions))
+            registry.gauge("service.pending").set(0.0)
+            if self.latency.count:
+                registry.gauge("service.recommendation.p50.seconds").set(
+                    self.latency.quantile(0.5))
+                registry.gauge("service.recommendation.p99.seconds").set(
+                    self.latency.quantile(0.99))
+            if self._wall_total > 0.0:
+                registry.gauge("service.decisions.per.second").set(
+                    self.decisions_made / self._wall_total)
+            self.obs.timeline.record("service.series", now,
+                                     float(len(self._series)))
         if flight:
             flight.record_round(
                 round_index=self.rounds, time=now, trigger=trigger,
                 critical_service=report.critical_service,
-                decisions=[decision.target for decision in decisions],
-                started=mark_started, localized=mark_localized,
-                propagated=mark_propagated, decided=mark_decided)
+                decisions=[decision.target for decision in decisions])
             registry.gauge("service.flight.rounds").set(
                 float(len(flight)))
         return record

@@ -1,222 +1,9 @@
-"""Flight recorder: the control plane traces itself.
+"""Re-export of :class:`repro.obs.flight.FlightRecorder`.
 
-Sora's pitch is that the analysis is cheap enough to run online; this
-module makes that claim inspectable per round instead of aggregate.
-Every control round is recorded as a span tree — ingest →
-localization → deadline propagation → SCG estimation → decision —
-built from the same :class:`~repro.tracing.span.Span` type the
-service *consumes*, so the controller can be examined with the exact
-tooling it points at everything else: the Jaeger-shaped export from
-``/debug/rounds/{id}`` round-trips through
-:func:`repro.tracing.export.traces_from_jaeger`.
-
-Design constraints, in order:
-
-1. **Replay neutrality.** The recorder reads wall clocks, and wall
-   clocks never touch decision records; enabling or disabling the
-   recorder leaves the decision JSONL byte-identical (the
-   ``service_selftrace`` bench asserts this).
-2. **Bounded.** Rounds live in a ring of ``flight_rounds`` entries;
-   pre-round ingest timings in a bounded scratch deque. Memory is
-   O(flight_rounds × decided services).
-3. **Zero cost when off.** ``flight_rounds=0`` leaves exactly one
-   truthiness check on each hot path (the same pattern as the
-   simulator's ``if self.obs:`` guards).
-
-All span timestamps are quantized to whole microseconds *before* the
-spans are built, so the Jaeger export (which serializes microseconds)
-is a fixed point under export → import → export.
+The benchmark's per-layer tracer (``bench/layers.py``) wraps
+``FlightRecorder.record_round`` by this module path, so the path stays.
 """
 
-from __future__ import annotations
+from repro.obs.flight import FlightRecorder
 
-import time as _time
-import typing as _t
-from collections import deque
-
-from repro.tracing.export import trace_to_jaeger
-from repro.tracing.span import Span
-
-__all__ = ["FlightRecorder", "PHASES"]
-
-#: Phase names, in pipeline order, as they appear in span operations
-#: and per-round ``phase_ms`` maps.
-PHASES = ("ingest", "localization", "deadline_propagation",
-          "scg_estimation", "decision")
-
-#: Service name stamped on every self-trace span.
-SELF_SERVICE = "sora-control-plane"
-
-
-def _quantize(seconds: float) -> float:
-    """Snap a timestamp to the microsecond grid the export serializes."""
-    return round(seconds * 1e6) / 1e6
-
-
-def _span_tree_dict(span: Span) -> dict:
-    """JSON-ready nested view of one span (ms durations for humans)."""
-    departure = _t.cast(float, span.departure)
-    return {
-        "span_id": span.span_id,
-        "service": span.service,
-        "operation": span.operation,
-        "start_s": span.arrival,
-        "duration_ms": round((departure - span.arrival) * 1e3, 3),
-        "children": [_span_tree_dict(child) for child in span.children],
-    }
-
-
-class FlightRecorder:
-    """Bounded warehouse of self-traced control rounds.
-
-    Args:
-        max_rounds: ring capacity; ``0`` disables the recorder (it
-            becomes falsy and every instrumented call site skips its
-            bookkeeping behind one boolean check).
-    """
-
-    def __init__(self, max_rounds: int = 256) -> None:
-        if max_rounds < 0:
-            raise ValueError(
-                f"max_rounds must be >= 0, got {max_rounds}")
-        self.max_rounds = max_rounds
-        self.enabled = max_rounds > 0
-        self._rounds: deque[dict] = deque(maxlen=max(1, max_rounds))
-        #: ``(kind, start, end)`` clock spans of accepted ingests since
-        #: the last round; bounded so a scrape storm between rounds
-        #: cannot grow memory.
-        self._ingest: deque[tuple[str, float, float]] = deque(
-            maxlen=4096)
-        #: Per-round scratch of ``(service, start, end)`` estimate
-        #: timings, filled by the control plane's ``_decide``.
-        self._estimates: list[tuple[str, float, float]] = []
-        self._t0 = _time.perf_counter()
-        self.rounds_recorded = 0
-
-    def __bool__(self) -> bool:
-        return self.enabled
-
-    def __len__(self) -> int:
-        return len(self._rounds)
-
-    # ------------------------------------------------------------------
-    # Instrumentation hooks (called by ControlPlane)
-    # ------------------------------------------------------------------
-    def clock(self) -> float:
-        """Monotonic wall seconds since the recorder was created."""
-        return _time.perf_counter() - self._t0
-
-    def note_ingest(self, kind: str, started: float) -> None:
-        """Record one accepted ingest's wall interval."""
-        self._ingest.append((kind, started, self.clock()))
-
-    def note_estimate(self, service: str, started: float,
-                      ended: float) -> None:
-        """Record one service's SCG estimate wall interval."""
-        self._estimates.append((service, started, ended))
-
-    def record_round(self, *, round_index: int, time: float,
-                     trigger: str, critical_service: str | None,
-                     decisions: _t.Sequence[str],
-                     started: float, localized: float,
-                     propagated: float, decided: float) -> None:
-        """Fold one finished round into a span tree and retain it.
-
-        Args:
-            round_index: 1-based round ordinal (doubles as trace id).
-            time: the round's logical time (stamped on the summary,
-                never on span clocks — those are wall).
-            trigger: the round's trigger string.
-            critical_service: localization verdict.
-            decisions: decided service names, in decision order.
-            started / localized / propagated / decided: recorder-clock
-                marks at each phase boundary.
-        """
-        recorded = self.clock()
-        ingest_ops = list(self._ingest)
-        self._ingest.clear()
-        estimates = self._estimates
-        self._estimates = []
-
-        arrival = min([started] + [s for _k, s, _e in ingest_ops])
-        root = Span(round_index, SELF_SERVICE, "round",
-                    _quantize(arrival))
-        root.started = root.arrival
-        root.departure = _quantize(recorded)
-
-        ingest_ms = {"metrics": 0.0, "traces": 0.0}
-        counts = {"metrics": 0, "traces": 0}
-        for kind in ("metrics", "traces"):
-            ops = [(s, e) for k, s, e in ingest_ops if k == kind]
-            if not ops:
-                continue
-            counts[kind] = len(ops)
-            ingest_ms[kind] = sum(e - s for s, e in ops) * 1e3
-            span = Span(round_index, SELF_SERVICE, f"ingest.{kind}",
-                        _quantize(min(s for s, _e in ops)), parent=root)
-            span.started = span.arrival
-            span.departure = _quantize(max(e for _s, e in ops))
-
-        def phase(operation: str, start: float, end: float,
-                  parent: Span = root) -> Span:
-            span = Span(round_index, SELF_SERVICE, operation,
-                        _quantize(start), parent=parent)
-            span.started = span.arrival
-            span.departure = _quantize(end)
-            return span
-
-        phase("localization", started, localized)
-        phase("deadline_propagation", localized, propagated)
-        estimation = phase("scg_estimation", propagated, decided)
-        for service, est_start, est_end in estimates:
-            phase(f"estimate.{service}", est_start, est_end,
-                  parent=estimation)
-        phase("decision", decided, recorded)
-
-        phase_ms = {
-            "ingest": round(ingest_ms["metrics"] + ingest_ms["traces"],
-                            3),
-            "localization": round((localized - started) * 1e3, 3),
-            "deadline_propagation": round(
-                (propagated - localized) * 1e3, 3),
-            "scg_estimation": round((decided - propagated) * 1e3, 3),
-            "decision": round((recorded - decided) * 1e3, 3),
-        }
-        self._rounds.append({
-            "round": round_index,
-            "trace_id": format(round_index, "032x"),
-            "time": time,
-            "trigger": trigger,
-            "critical_service": critical_service,
-            "decisions": list(decisions),
-            "wall_ms": round((recorded - started) * 1e3, 3),
-            "phase_ms": phase_ms,
-            "ingest": dict(counts),
-            "root": root,
-        })
-        self.rounds_recorded += 1
-
-    # ------------------------------------------------------------------
-    # Views (served by /debug/rounds)
-    # ------------------------------------------------------------------
-    def summaries(self) -> list[dict]:
-        """Retained rounds, oldest first, without span trees."""
-        return [{key: value for key, value in entry.items()
-                 if key != "root"} for entry in self._rounds]
-
-    def round(self, round_index: int) -> dict | None:
-        """One retained round with its span tree and Jaeger export."""
-        for entry in self._rounds:
-            if entry["round"] == round_index:
-                root = entry["root"]
-                payload = {key: value for key, value in entry.items()
-                           if key != "root"}
-                payload["spans"] = _span_tree_dict(root)
-                payload["jaeger"] = {"data": [trace_to_jaeger(root)]}
-                return payload
-        return None
-
-    def latest_wall_ms(self) -> list[tuple[int, float]]:
-        """``(round, wall_ms)`` pairs for the retained rounds."""
-        return [(entry["round"], entry["wall_ms"])
-                for entry in self._rounds]
+__all__ = ["FlightRecorder"]

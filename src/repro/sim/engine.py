@@ -68,9 +68,21 @@ class Environment:
     @property
     def queue_depth(self) -> int:
         """Scheduled-but-unprocessed entries currently queued
-        (observability probe; see :mod:`repro.obs.profiling`). A batch
-        scheduled via :meth:`schedule_batch` counts as one entry."""
+        (observability probe: the telemetry pump records it as the
+        ``sim.queue_depth`` series). A batch scheduled via
+        :meth:`schedule_batch` counts as one entry."""
         return len(self._heap)
+
+    @property
+    def events_scheduled(self) -> int:
+        """Events scheduled so far: the scheduling serial counter.
+
+        Reading it does not consume a serial, so the next event keeps
+        the serial it would have had. Read it between runs.
+        """
+        scheduled = next(self._eid)
+        self._eid = count(scheduled)
+        return scheduled
 
     def next_span_id(self) -> int:
         """Allocate the next tracing span id for this run.

@@ -13,11 +13,10 @@ from repro.obs import (
     ControlRoundRecord,
     DecisionLog,
     DriftRecord,
-    EngineProfiler,
+    FlightRecorder,
     Histogram,
     MetricsRegistry,
     Observability,
-    PhaseProfiler,
     ScaleEventRecord,
     TargetDecision,
     configure_logging,
@@ -166,69 +165,72 @@ class TestDecisionLog:
 
 
 class TestProfiling:
-    def test_phase_profiler_aggregates(self):
-        profiler = PhaseProfiler()
+    def test_recorder_phase_aggregates(self):
+        recorder = FlightRecorder()
         for _ in range(3):
-            with profiler.phase("localize"):
+            with recorder.phase("localization") as timer:
                 pass
-        stats = profiler.phases["localize"]
-        assert stats.count == 3
-        assert stats.total >= 0.0
-        assert stats.max >= stats.last >= 0.0
-        assert "localize" in profiler.summary()
+        for target in ("a", "b"):
+            with recorder.phase(f"estimate.{target}"):
+                pass
+        summary = recorder.phase_summary()
+        stats = summary["localization"]
+        assert stats["count"] == 3
+        assert stats["max_ms"] >= stats["mean_ms"] >= 0.0
+        assert stats["total_ms"] >= timer.elapsed * 1e3 - 1e-3
+        # Per-target phases aggregate under their family name.
+        assert summary["estimate"]["count"] == 2
+        assert set(summary) == {"estimate", "localization"}
 
-    def test_engine_profiler_counts_every_event(self):
-        env = Environment()
-
-        def ticker():
-            for _ in range(50):
-                yield env.timeout(1.0)
-
-        env.process(ticker())
-        profiler = EngineProfiler(env, sample_every=10)
-        profiler.attach()
-        env.run()
-        profiler.detach()
-        summary = profiler.summary()
-        assert summary["events"] > 50
-        assert summary["wall_seconds"] > 0.0
-        assert summary["samples"] >= 1
-        assert summary["queue_depth_max"] >= 0
-
-    def test_detach_stops_counting(self):
-        env = Environment()
-        profiler = EngineProfiler(env)
-        profiler.attach()
-        profiler.detach()
-
-        def ticker():
-            yield env.timeout(1.0)
-
-        env.process(ticker())
-        env.run()
-        assert profiler.events == 0
+    def test_failed_phase_is_not_timed(self):
+        recorder = FlightRecorder()
+        with pytest.raises(ValueError):
+            with recorder.phase("ingest.metrics"):
+                raise ValueError("rejected")
+        assert recorder.phase_summary() == {}
+        # A round whose phase raised is abandoned, so the next ingest
+        # folds into the next recorded round.
+        recorder.begin_round()
+        with pytest.raises(ValueError):
+            with recorder.phase("localization"):
+                raise ValueError("failed round")
+        with recorder.phase("ingest.metrics"):
+            pass
+        recorder.begin_round()
+        recorder.record_round(round_index=1, time=0.0, trigger="cadence",
+                              critical_service=None, decisions=[])
+        assert recorder.summaries()[0]["ingest"]["metrics"] == 1
 
     def test_profilers_never_touch_simulated_time(self):
-        # Two identical runs, one profiled, must produce the same
-        # event stream (the fingerprint the replay checker hashes).
-        def run(profiled):
+        # Two identical runs, one self-tracing a round per tick, must
+        # produce the same event stream (the fingerprint the replay
+        # checker hashes).
+        def run(recorder):
             env = Environment()
             seen = []
             env.add_monitor(
                 lambda when, eid, _e: seen.append((when, eid)))
-            if profiled:
-                profiler = EngineProfiler(env, sample_every=4)
-                profiler.attach()
 
             def ticker():
-                for _ in range(20):
+                for index in range(20):
                     yield env.timeout(0.5)
+                    recorder.begin_round()
+                    with recorder.phase("scg_estimation"):
+                        pass
+                    if recorder:
+                        recorder.record_round(
+                            round_index=index + 1, time=env.now,
+                            trigger="periodic", critical_service=None,
+                            decisions=[])
 
             env.process(ticker())
-            env.run()
+            with recorder.phase("run"):
+                env.run()
             return seen
 
-        assert run(profiled=False) == run(profiled=True)
+        traced = FlightRecorder()
+        assert run(FlightRecorder(0)) == run(traced)
+        assert traced.rounds_recorded == 20
 
 
 class TestObservabilityFacade:
@@ -238,7 +240,8 @@ class TestObservabilityFacade:
         with NULL.phase("anything"):
             pass
         assert len(NULL.decisions) == 0
-        assert NULL.profiler.phases == {}
+        assert NULL.flight.phase_summary() == {}
+        assert not NULL.flight
         assert NULL.registry.snapshot() == {}
 
     def test_enabled_records_and_times(self):
@@ -249,33 +252,9 @@ class TestObservabilityFacade:
             pass
         obs.registry.counter("controller.rounds").inc()
         assert len(obs.decisions) == 1
-        assert obs.profiler.phases["adapt"].count == 1
         summary = obs.summary()
+        assert summary["phases"]["adapt"]["count"] == 1
         assert summary["metrics"]["controller.rounds"]["value"] == 1.0
-        assert summary["engine"] is None
-
-    def test_watch_engine_lifecycle(self):
-        env = Environment()
-        obs = Observability()
-        obs.watch_engine(env, sample_every=8)
-
-        def ticker():
-            for _ in range(10):
-                yield env.timeout(1.0)
-
-        env.process(ticker())
-        env.run()
-        obs.unwatch_engine()
-        assert obs.engine is not None
-        assert obs.engine.events > 0
-        assert obs.summary()["engine"]["events"] > 0
-
-    def test_disabled_watch_engine_is_noop(self):
-        env = Environment()
-        disabled = Observability(enabled=False)
-        disabled.watch_engine(env)
-        assert disabled.engine is None
-        assert env.queue_depth == 0
 
 
 class TestLogging:

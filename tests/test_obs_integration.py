@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from repro.experiments import run_scenario, sock_shop_cart_scenario
-from repro.obs import DecisionLog, Observability, render_html, render_text
+from repro.obs import (
+    PHASES,
+    DecisionLog,
+    Observability,
+    render_html,
+    render_text,
+)
+from repro.sim import Environment
 from repro.workloads import build_trace
 
 DURATION = 120.0
@@ -101,21 +108,31 @@ class TestDecisionTraceability:
 
     def test_profiles_and_metrics_populated(self, observed_run):
         obs, _result = observed_run
-        for phase in ("localize", "propagate", "adapt"):
-            assert obs.profiler.phases[phase].count > 0
-        assert obs.engine is not None
-        engine = obs.engine.summary()
-        assert engine["events"] > 10_000
-        assert engine["events_per_sec"] > 0
+        phases = obs.flight.phase_summary()
+        for phase in PHASES + ("estimate",):
+            assert phases[phase]["count"] > 0
+        assert phases["run"]["count"] == 1
         metrics = obs.registry.snapshot()
+        assert metrics["sim.events"]["value"] > 10_000
         assert metrics["controller.rounds"]["value"] > 0
         assert metrics["sampler.ticks"]["value"] > 0
+        # Every periodic round is self-traced, and its wall time is the
+        # one stamped on the round's decision record.
+        assert obs.flight.rounds_recorded == \
+            metrics["controller.rounds"]["value"]
+        periodic = [r for r in obs.decisions.rounds()
+                    if r.trigger == "periodic"]
+        assert [r.wall_ms for r in periodic[-len(obs.flight):]] == \
+            [entry["wall_ms"] for entry in obs.flight.summaries()]
+        _times, depths = obs.timeline.series("sim.queue_depth").data()
+        assert depths.size > 0 and depths.max() > 0
 
     def test_report_renders_the_run(self, observed_run):
         obs, _result = observed_run
         text = render_text(obs, title="acceptance")
         assert "cart.threads" in text
         assert "Adaptation timeline" in text
+        assert "Event loop: " in text and "queue depth mean" in text
         html = render_html(obs, title="acceptance")
         assert html.startswith("<!DOCTYPE html>")
         assert "cart.threads" in html
@@ -133,6 +150,19 @@ class TestDecisionTraceability:
 
 @pytest.mark.integration
 class TestObserverPurity:
+    def test_no_per_event_monitor(self, monkeypatch):
+        calls = []
+        original = Environment.add_monitor
+
+        def recording(env, monitor):
+            calls.append(monitor)
+            original(env, monitor)
+
+        monkeypatch.setattr(Environment, "add_monitor", recording)
+        result = _run(obs=Observability())
+        assert result.obs.flight.rounds_recorded > 0
+        assert calls == []
+
     def test_enabling_observability_changes_nothing(self, observed_run):
         _obs, observed = observed_run
         plain = _run(obs=None)

@@ -1,7 +1,8 @@
-"""Flight recorder: the control plane's self-trace of each round.
+"""Flight recorder: the controllers' self-trace of each round.
 
-Covers the tentpole contract end to end: every control round becomes
-a complete span tree (ingest → localization → deadline propagation →
+Covers the contract end to end: every control round — of the service
+plane and of the embedded simulator controller alike — becomes a
+complete span tree (ingest → localization → deadline propagation →
 SCG estimation → decision), the Jaeger-shaped export round-trips
 through :func:`repro.tracing.export.traces_from_jaeger` as a fixed
 point, the retention ring is bounded, the exemplar on the
@@ -17,7 +18,9 @@ import json
 import pytest
 
 from repro.core.scg import ScatterModelConfig
-from repro.obs import parse_openmetrics
+from repro.experiments import run_scenario, sock_shop_cart_scenario
+from repro.obs import Observability, parse_openmetrics
+from repro.obs.flight import PHASES, SELF_SERVICE
 from repro.service import (
     ControlPlane,
     ControllerService,
@@ -26,8 +29,8 @@ from repro.service import (
     render_snapshot,
 )
 from repro.service.console import render_service_dashboard
-from repro.service.flight import PHASES, SELF_SERVICE
 from repro.tracing.export import export_traces, traces_from_jaeger
+from repro.workloads import build_trace
 
 
 def flight_config(**overrides) -> ServiceConfig:
@@ -54,6 +57,35 @@ def feed_rounds(plane: ControlPlane, rounds: int = 3,
                 clock, {"cart": 0.92}, {"cart": q}, {"cart": rate},
                 {"cart": 4}))
         plane.tick(now=clock)
+
+
+@pytest.fixture(scope="module")
+def embedded_flight():
+    """Recorder of a short Sock Shop run under the embedded Sora."""
+    obs = Observability()
+    trace = build_trace("steep_tri_phase", duration=90.0,
+                        peak_users=450, min_users=80)
+    run_scenario(sock_shop_cart_scenario(trace=trace, controller="sora",
+                                         obs=obs), duration=90.0)
+    return obs.flight
+
+
+@pytest.fixture(params=["service", "embedded"])
+def estimated_round(request):
+    """The newest recorded round that ran at least one estimate."""
+    if request.param == "service":
+        plane = ControlPlane(flight_config())
+        feed_rounds(plane, rounds=3)
+        flight = plane.flight
+    else:
+        flight = request.getfixturevalue("embedded_flight")
+    for summary in reversed(flight.summaries()):
+        payload = flight.round(summary["round"])
+        estimation = next(child for child in payload["spans"]["children"]
+                          if child["operation"] == "scg_estimation")
+        if estimation["children"]:
+            return request.param, payload
+    raise AssertionError("no round ran an estimate")
 
 
 # ----------------------------------------------------------------------
@@ -89,26 +121,28 @@ def test_ring_retains_only_newest_rounds():
 # ----------------------------------------------------------------------
 # Span-tree completeness
 # ----------------------------------------------------------------------
-def test_round_span_tree_covers_every_phase():
-    plane = ControlPlane(flight_config())
-    feed_rounds(plane, rounds=3)
-    payload = plane.flight.round(3)
-    assert payload is not None
-    assert payload["trigger"] == "cadence"
+def test_round_span_tree_covers_every_phase(estimated_round):
+    kind, payload = estimated_round
     assert set(payload["phase_ms"]) == set(PHASES)
-    assert payload["ingest"]["metrics"] == 6
-    assert payload["decisions"] == ["cart"]
+    if kind == "service":
+        assert payload["trigger"] == "cadence"
+        assert payload["ingest"]["metrics"] == 6
+        assert payload["decisions"] == ["cart"]
+    else:
+        assert payload["trigger"] == "periodic"
+        assert payload["decisions"] == ["cart.threads"]
 
     root = payload["spans"]
     assert root["service"] == SELF_SERVICE
     assert root["operation"] == "round"
-    children = {child["operation"] for child in root["children"]}
-    assert {"ingest.metrics", "localization", "deadline_propagation",
-            "scg_estimation", "decision"} <= children
+    children = [child["operation"] for child in root["children"]]
+    # Both controllers trace the same pipeline phases (the service's
+    # between-round ingests appear as ``ingest.<kind>``).
+    assert {op.partition(".")[0] for op in children} == set(PHASES)
     estimation = next(child for child in root["children"]
                       if child["operation"] == "scg_estimation")
     assert {grand["operation"] for grand in estimation["children"]
-            } == {"estimate.cart"}
+            } == {f"estimate.{name}" for name in payload["decisions"]}
     # Wall clocks are monotone through the pipeline.
     ordered = [next(child for child in root["children"]
                     if child["operation"] == op)
@@ -128,14 +162,22 @@ def test_summaries_omit_span_objects():
         json.dumps(entry)  # JSON-ready as served by /debug/rounds
 
 
+def test_service_report_has_phase_timings():
+    plane = ControlPlane(flight_config())
+    feed_rounds(plane, rounds=1)
+    report = plane.report()
+    table = report.split("Control-loop phase timings (wall clock)\n",
+                         1)[1].split("\n\n", 1)[0]
+    rows = {line.split(" | ")[0].strip()
+            for line in table.splitlines()[2:]}
+    assert set(PHASES) <= rows
+
+
 # ----------------------------------------------------------------------
 # Jaeger round-trip
 # ----------------------------------------------------------------------
-def test_jaeger_export_round_trips_as_fixed_point():
-    plane = ControlPlane(flight_config())
-    feed_rounds(plane, rounds=2)
-    payload = plane.flight.round(2)
-    assert payload is not None
+def test_jaeger_export_round_trips_as_fixed_point(estimated_round):
+    _kind, payload = estimated_round
     document = json.dumps(payload["jaeger"], sort_keys=True)
     spans = traces_from_jaeger(document)
     assert len(spans) == 1
