@@ -1,9 +1,10 @@
 """Controller-on-controller SLOs for the standalone service layer.
 
 The tentpole service promises its *own* latency objectives: the wall
-time of one recommendation (localization share + deadline propagation
-+ SCG estimation for one service) and sustained decisions/sec while
-tracking thousands of concurrent series. This bench stresses a
+time of one recommendation (its amortized share of the round's one
+batched SCG estimation: batch wall divided by the round's decisions)
+and sustained decisions/sec while tracking thousands of concurrent
+series. This bench stresses a
 transport-free :class:`repro.service.ControlPlane` in estimate-all
 mode (``decide_top_k=0``):
 

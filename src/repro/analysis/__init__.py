@@ -2,7 +2,12 @@
 
 from repro.analysis.changepoint import ChangePoint, PageHinkley
 from repro.analysis.correlation import pearson
-from repro.analysis.kneedle import KneeResult, find_knee
+from repro.analysis.kneedle import (
+    KneeBatch,
+    KneeResult,
+    find_knee,
+    find_knees,
+)
 from repro.analysis.queueing import (
     MvaResult,
     Station,
@@ -13,12 +18,15 @@ from repro.analysis.queueing import (
 )
 from repro.analysis.smoothing import (
     PolynomialFit,
+    PolynomialFits,
+    PolynomialFitter,
     aggregate_scatter,
     fit_polynomial,
 )
 
 __all__ = [
     "ChangePoint",
+    "KneeBatch",
     "KneeResult",
     "PageHinkley",
     "MvaResult",
@@ -28,8 +36,11 @@ __all__ = [
     "solve_mva",
     "solve_mva_sweep",
     "PolynomialFit",
+    "PolynomialFits",
+    "PolynomialFitter",
     "aggregate_scatter",
     "find_knee",
+    "find_knees",
     "fit_polynomial",
     "pearson",
 ]

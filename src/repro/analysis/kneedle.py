@@ -16,6 +16,12 @@ Algorithm (offline form):
 
 The sensitivity ``S`` trades early detection against false positives
 (the paper uses the default ``S = 1``).
+
+:func:`find_knees` runs the algorithm over many curves at once (the
+smoothed curves of a control round, each over its own grid) with
+whole-array operations: step 4 forward-fills, for every point, the
+local maximum that owns its segment. :func:`find_knee` is its one-row
+case.
 """
 
 from __future__ import annotations
@@ -60,16 +66,179 @@ class KneeResult:
 
 def _transform(x_n: np.ndarray, y_n: np.ndarray, curve: Curve,
                direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Reflect axes so that the curve is concave increasing."""
+    """Reflect axes so that the curves (rows of ``x_n`` / ``y_n``) are
+    concave increasing."""
     if curve == "concave" and direction == "increasing":
         return x_n, y_n
     if curve == "concave" and direction == "decreasing":
-        return (1.0 - x_n)[::-1], y_n[::-1]
+        return (1.0 - x_n)[..., ::-1], y_n[..., ::-1]
     if curve == "convex" and direction == "increasing":
-        return (1.0 - x_n)[::-1], (1.0 - y_n)[::-1]
+        return (1.0 - x_n)[..., ::-1], (1.0 - y_n)[..., ::-1]
     if curve == "convex" and direction == "decreasing":
         return x_n, 1.0 - y_n
     raise ValueError(f"invalid curve/direction: {curve}/{direction}")
+
+
+#: Transforms that reverse the index order (so transformed index ``t``
+#: is original index ``n - 1 - t``).
+_REFLECTED = {("concave", "decreasing"), ("convex", "increasing")}
+
+
+def _not_found() -> KneeResult:
+    return KneeResult(found=False, knee_x=float("nan"),
+                      knee_y=float("nan"), all_knee_x=(),
+                      difference=np.empty(0))
+
+
+@dataclass(frozen=True)
+class KneeBatch:
+    """Kneedle outcome for every row of a batch of curves.
+
+    Attributes:
+        x: the abscissa of each curve, one per row.
+        y: the curves, one per row.
+        found: per row, whether any knee was confirmed.
+        index: per row, the selected knee's index into ``x`` (0 when
+            not found).
+        confirmed: per row and original index, the confirmed knees.
+        difference: per row, the normalized difference curve in
+            transformed order.
+        prominence: per row, ``difference`` at the selected knee (NaN
+            when not found).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    found: np.ndarray
+    index: np.ndarray
+    confirmed: np.ndarray
+    difference: np.ndarray
+    prominence: np.ndarray
+
+    @property
+    def knee_x(self) -> np.ndarray:
+        """Per row, the selected knee's ``x`` (NaN when not found)."""
+        rows = np.arange(self.found.size)
+        return np.where(self.found, self.x[rows, self.index], np.nan)
+
+    @property
+    def knee_y(self) -> np.ndarray:
+        """Per row, the selected knee's ``y`` (NaN when not found)."""
+        rows = np.arange(self.found.size)
+        return np.where(self.found, self.y[rows, self.index], np.nan)
+
+    def row(self, row: int) -> KneeResult:
+        """The :class:`KneeResult` of one curve."""
+        if not self.found[row]:
+            return _not_found()
+        chosen = int(self.index[row])
+        return KneeResult(
+            found=True,
+            knee_x=float(self.x[row, chosen]),
+            knee_y=float(self.y[row, chosen]),
+            all_knee_x=tuple(float(value) for value
+                             in self.x[row, self.confirmed[row]]),
+            difference=self.difference[row],
+            prominence=float(self.prominence[row]),
+        )
+
+
+def find_knees(x: _t.Sequence[float] | np.ndarray,
+               ys: np.ndarray, *,
+               curve: Curve = "concave",
+               direction: Direction = "increasing",
+               sensitivity: float = 1.0,
+               select: _t.Literal["first", "prominent"] = "first"
+               ) -> KneeBatch:
+    """Detect the knee of every row of ``ys`` over the same row of
+    ``x``.
+
+    Arguments are those of :func:`find_knee`, with one curve per row
+    of the 2-D ``ys``; ``x`` is either one abscissa shared by every
+    row or one per row. Every step is elementwise or a reduction
+    within a row, so each row's result is bit-identical to running it
+    alone.
+    """
+    ys = np.asarray(ys, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if ys.ndim != 2 or x.shape not in (ys.shape, ys.shape[1:]):
+        raise ValueError(f"shape mismatch: {x.shape} vs {ys.shape}")
+    x = np.broadcast_to(x, ys.shape)
+    if sensitivity < 0:
+        raise ValueError(f"sensitivity must be >= 0, got {sensitivity}")
+    rows, size = ys.shape
+    found = np.zeros(rows, dtype=bool)
+    index = np.zeros(rows, dtype=np.intp)
+    confirmed = np.zeros(ys.shape, dtype=bool)
+    difference = np.full(ys.shape, np.nan)
+    prominence = np.full(rows, np.nan)
+    batch = KneeBatch(x=x, y=ys, found=found, index=index,
+                      confirmed=confirmed, difference=difference,
+                      prominence=prominence)
+    if size < 3:
+        return batch
+    if np.any(np.diff(x, axis=1) < 0):
+        raise ValueError("x must be sorted ascending")
+
+    x_min = x.min(axis=1)
+    x_span = x.max(axis=1) - x_min
+    y_min = ys.min(axis=1)
+    y_span = ys.max(axis=1) - y_min
+    # A flat row (in x or in y) stays all-NaN below and so confirms no
+    # knee.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_n = (x - x_min[:, None]) / x_span[:, None]
+        y_n = (ys - y_min[:, None]) / y_span[:, None]
+    x_t, y_t = _transform(x_n, y_n, curve, direction)
+    np.subtract(y_t, x_t, out=difference)
+    mean_spacing = np.mean(np.abs(np.diff(x_t, axis=1)), axis=1)
+    del x_n, y_n, x_t, y_t
+
+    # Local maxima of each difference curve (candidate knees).
+    is_max = np.zeros(ys.shape, dtype=bool)
+    is_max[:, 1:-1] = ((difference[:, 1:-1] > difference[:, :-2]) &
+                       (difference[:, 1:-1] >= difference[:, 2:]))
+    # A maximum is confirmed when the curve drops below its threshold
+    # (its difference value less ``S`` mean spacings) before the next
+    # maximum: forward-fill each point's owning maximum and compare
+    # the point with that maximum's threshold. A maximum never lies
+    # below its own threshold (S >= 0), so runs of dropped points never
+    # span a maximum, and marking the owner of each run's first point
+    # marks every confirmed maximum.
+    owner = np.where(is_max, np.arange(size), -1)
+    del is_max
+    np.maximum.accumulate(owner, axis=1, out=owner)
+    owner_threshold = difference.take(
+        np.maximum(owner, 0) + (size * np.arange(rows))[:, None])
+    owner_threshold -= sensitivity * mean_spacing[:, None]
+    drops = (owner >= 0) & (difference < owner_threshold)
+    del owner_threshold
+    drops[:, 1:] &= ~drops[:, :-1]
+    drop_rows, drop_cols = np.nonzero(drops)
+    knees = np.zeros(ys.shape, dtype=bool)
+    knees[drop_rows, owner[drop_rows, drop_cols]] = True
+
+    # A terminal local maximum with no room to decay still marks the
+    # curve's flattening when it is the global maximum (offline use).
+    last = owner[:, -1]
+    terminal = (~knees.any(axis=1) & (last >= size - 2) &
+                (difference[np.arange(rows), np.maximum(last, 0)] ==
+                 difference.max(axis=1)))
+    knees[terminal, last[terminal]] = True
+
+    found[:] = knees.any(axis=1)
+    reflected = (curve, direction) in _REFLECTED
+    confirmed[:] = knees[:, ::-1] if reflected else knees
+    if select == "prominent":
+        chosen_t = np.argmax(np.where(knees, difference, -np.inf), axis=1)
+        index[:] = size - 1 - chosen_t if reflected else chosen_t
+    else:
+        index[:] = np.argmax(confirmed, axis=1)
+        chosen_t = size - 1 - index if reflected else index
+    chosen_t = np.where(found, chosen_t, 0)
+    index[~found] = 0
+    prominence[found] = difference[found, chosen_t[found]]
+    return batch
 
 
 def find_knee(x: _t.Sequence[float] | np.ndarray,
@@ -79,7 +248,8 @@ def find_knee(x: _t.Sequence[float] | np.ndarray,
               sensitivity: float = 1.0,
               select: _t.Literal["first", "prominent"] = "first"
               ) -> KneeResult:
-    """Detect the knee of an ``x``-sorted curve.
+    """Detect the knee of an ``x``-sorted curve: the one-row case of
+    :func:`find_knees`.
 
     Args:
         x: strictly or weakly increasing abscissa.
@@ -99,74 +269,5 @@ def find_knee(x: _t.Sequence[float] | np.ndarray,
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if sensitivity < 0:
-        raise ValueError(f"sensitivity must be >= 0, got {sensitivity}")
-    not_found = KneeResult(found=False, knee_x=float("nan"),
-                           knee_y=float("nan"), all_knee_x=(),
-                           difference=np.empty(0))
-    if x.size < 3:
-        return not_found
-    if np.any(np.diff(x) < 0):
-        raise ValueError("x must be sorted ascending")
-
-    x_span = float(x.max() - x.min())
-    y_span = float(y.max() - y.min())
-    if x_span == 0.0 or y_span == 0.0:
-        return not_found
-    x_n = (x - x.min()) / x_span
-    y_n = (y - y.min()) / y_span
-    x_t, y_t = _transform(x_n, y_n, curve, direction)
-    difference = y_t - x_t
-
-    # Local maxima of the difference curve (candidate knees).
-    interior = np.arange(1, difference.size - 1)
-    is_max = ((difference[interior] > difference[interior - 1]) &
-              (difference[interior] >= difference[interior + 1]))
-    maxima = interior[is_max]
-    if maxima.size == 0:
-        return not_found
-
-    mean_spacing = float(np.mean(np.abs(np.diff(x_t))))
-    confirmed: list[int] = []
-    for position, index in enumerate(maxima):
-        threshold = difference[index] - sensitivity * mean_spacing
-        limit = maxima[position + 1] if position + 1 < maxima.size \
-            else difference.size
-        if np.any(difference[index + 1:limit] < threshold):
-            confirmed.append(int(index))
-    if not confirmed:
-        # A terminal local maximum with no room to decay still marks the
-        # curve's flattening when it is the global maximum (offline use).
-        last = int(maxima[-1])
-        if last >= difference.size - 2 and \
-                difference[last] == difference.max():
-            confirmed = [last]
-        else:
-            return not_found
-
-    # Map transformed indices back to original-array indices.
-    def original_index(transformed_index: int) -> int:
-        if curve == "convex" and direction == "decreasing":
-            return transformed_index
-        if curve == "concave" and direction == "increasing":
-            return transformed_index
-        return difference.size - 1 - transformed_index
-
-    original = sorted(original_index(i) for i in confirmed)
-    if select == "prominent":
-        chosen_t = max(confirmed, key=lambda i: difference[i])
-        chosen = original_index(chosen_t)
-    else:
-        chosen = original[0]
-        # original_index is a self-inverse reflection (or identity), so
-        # it also maps the chosen original index back to its position in
-        # the transformed difference curve.
-        chosen_t = original_index(chosen)
-    return KneeResult(
-        found=True,
-        knee_x=float(x[chosen]),
-        knee_y=float(y[chosen]),
-        all_knee_x=tuple(float(x[i]) for i in original),
-        difference=difference,
-        prominence=float(difference[chosen_t]),
-    )
+    return find_knees(x, y[None, :], curve=curve, direction=direction,
+                      sensitivity=sensitivity, select=select).row(0)

@@ -12,6 +12,10 @@ concurrency as the knee of the main sequence curve:
 Estimation pipeline (phases 3–4 of Fig. 6): aggregate the scatter (mean
 rate per distinct concurrency), fit a smoothing polynomial whose degree
 is tuned incrementally (§3.3), and run Kneedle on the smooth curve.
+:meth:`ScatterCurveModel.estimate_many` runs the fit and Kneedle steps
+for every window of a control round in one vectorized pass per degree
+and per number of aggregated levels (each window keeps its own
+levels); :meth:`~ScatterCurveModel.estimate` is its one-window case.
 """
 
 from __future__ import annotations
@@ -22,16 +26,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.kneedle import KneeResult, find_knee
+from repro.analysis.kneedle import KneeResult, find_knees
 from repro.analysis.smoothing import (
     PolynomialFit,
+    PolynomialFitter,
     aggregate_scatter,
-    fit_polynomial,
 )
 
 logger = logging.getLogger(__name__)
 
 EstimateMethod = _t.Literal["knee", "argmax"]
+
+#: One estimation window: ``(concurrency, rate)`` sample arrays.
+Window = tuple[_t.Union[np.ndarray, _t.Sequence[float]],
+               _t.Union[np.ndarray, _t.Sequence[float]]]
 
 
 @dataclass(frozen=True)
@@ -121,80 +129,141 @@ class ScatterCurveModel:
     def estimate(self, concurrency: np.ndarray, rate: np.ndarray,
                  threshold: float | None = None
                  ) -> ConcurrencyEstimate | None:
-        """Estimate the optimal concurrency from sample pairs.
+        """Estimate the optimal concurrency from sample pairs: the
+        one-window case of :meth:`estimate_many`.
 
         Returns ``None`` when the window does not hold enough signal
         (too few samples or distinct concurrency levels, or no usable
         curve) — callers keep the previous allocation in that case.
         """
-        concurrency = np.asarray(concurrency, dtype=float)
-        rate = np.asarray(rate, dtype=float)
-        if concurrency.shape != rate.shape:
-            raise ValueError(
-                f"shape mismatch: {concurrency.shape} vs {rate.shape}")
+        return self.estimate_many([(concurrency, rate)], [threshold])[0]
+
+    def estimate_many(self, windows: _t.Sequence[Window],
+                      thresholds: _t.Sequence[float | None] | None = None
+                      ) -> list[ConcurrencyEstimate | None]:
+        """Estimate the optimal concurrency of every window.
+
+        Each window is quantized and aggregated on its own; windows
+        with the same number of aggregated levels are then stacked and
+        share one fit and one Kneedle pass per degree, each over its
+        own levels. A window's estimate does not depend on the other
+        windows in the call, bit for bit.
+
+        Args:
+            windows: ``(concurrency, rate)`` sample pairs per window.
+            thresholds: the RT threshold active while each window was
+                collected, stamped on its estimate (default: none).
+
+        Returns:
+            One entry per window, ``None`` where :meth:`estimate` would
+            return ``None``.
+        """
+        if thresholds is None:
+            thresholds = [None] * len(windows)
+        if len(thresholds) != len(windows):
+            raise ValueError(f"{len(thresholds)} thresholds for "
+                             f"{len(windows)} windows")
         config = self.config
-        if concurrency.size < config.min_samples:
-            return None
-        # Idle samples (zero concurrency) carry no information about the
-        # service's capacity curve.
-        busy = concurrency > 0
-        quantized = np.round(concurrency[busy] / config.quantum) * \
-            config.quantum
-        q_values, gp_values = aggregate_scatter(quantized, rate[busy])
-        distinct = int(np.unique(q_values).size)
-        if distinct < config.min_distinct:
-            return None
-        # A degree close to the number of aggregated levels interpolates
-        # the noise instead of smoothing it (wild oscillation between
-        # levels); keep at least one excess degree of freedom.
-        max_degree = min(config.max_degree, distinct - 2)
-        if max_degree < config.min_degree:
-            return None
+        results: list[ConcurrencyEstimate | None] = [None] * len(windows)
+        #: level count -> (window indices, levels, per-level rates)
+        groups: dict[int, tuple[list[int], list[np.ndarray],
+                                list[np.ndarray]]] = {}
+        samples = [0] * len(windows)
+        for position, (concurrency, rate) in enumerate(windows):
+            concurrency = np.asarray(concurrency, dtype=float)
+            rate = np.asarray(rate, dtype=float)
+            if concurrency.shape != rate.shape:
+                raise ValueError(
+                    f"shape mismatch: {concurrency.shape} vs {rate.shape}")
+            samples[position] = int(concurrency.size)
+            if concurrency.size < config.min_samples:
+                continue
+            # Idle samples (zero concurrency) carry no information about
+            # the service's capacity curve.
+            busy = concurrency > 0
+            quantized = np.round(concurrency[busy] / config.quantum) * \
+                config.quantum
+            q_values, gp_values = aggregate_scatter(quantized, rate[busy])
+            # A degree close to the number of aggregated levels
+            # interpolates the noise instead of smoothing it (wild
+            # oscillation between levels); keep at least one excess
+            # degree of freedom.
+            if q_values.size < config.min_distinct or \
+                    min(config.max_degree, q_values.size - 2) < \
+                    config.min_degree:
+                continue
+            group = groups.setdefault(q_values.size, ([], [], []))
+            group[0].append(position)
+            group[1].append(q_values)
+            group[2].append(gp_values)
+        for positions, level_rows, rate_rows in groups.values():
+            levels = np.stack(level_rows)
+            rates = np.stack(rate_rows)
+            gp_variance = np.var(rates, axis=1)
+            for row, method, optimal, knee, fit in self._search(
+                    levels, rates):
+                position = positions[row]
+                variance = float(gp_variance[row])
+                if variance == 0.0:
+                    fit_r2 = 1.0 if fit.rmse == 0.0 else 0.0
+                else:
+                    fit_r2 = 1.0 - (fit.rmse ** 2) / variance
+                results[position] = ConcurrencyEstimate(
+                    optimal_concurrency=optimal, method=method, knee=knee,
+                    fit=fit, samples=samples[position],
+                    threshold=thresholds[position],
+                    max_concurrency=float(levels[row, -1]),
+                    fit_r2=fit_r2)
+        return results
 
-        gp_variance = float(np.var(gp_values))
+    def _search(self, levels: np.ndarray, rates: np.ndarray
+                ) -> _t.Iterator[tuple[int, EstimateMethod, int,
+                                       KneeResult, PolynomialFit]]:
+        """Raise the polynomial degree over the rows of ``rates`` (mean
+        rates at the ascending levels in the same row of ``levels``)
+        until Kneedle accepts a knee; yield ``(row, method, optimal,
+        knee, fit)`` per row estimated.
 
-        def r_squared(fit: PolynomialFit) -> float:
-            if gp_variance == 0.0:
-                return 1.0 if fit.rmse == 0.0 else 0.0
-            return 1.0 - (fit.rmse ** 2) / gp_variance
-
-        fallback_fit: PolynomialFit | None = None
+        A row leaves the search at the first degree whose knee passes
+        the quality gate. Rows left after the highest degree fall back
+        to the argmax of that degree's fit, reporting its knee.
+        """
+        config = self.config
+        max_degree = min(config.max_degree, levels.shape[1] - 2)
+        fitter = PolynomialFitter(levels, rates, max_degree)
+        active = np.arange(rates.shape[0])
         for degree in range(config.min_degree, max_degree + 1):
-            try:
-                fit = fit_polynomial(q_values, gp_values, degree)
-            except ValueError:  # pragma: no cover - guarded by max_degree
-                break
-            fallback_fit = fit
-            knee = find_knee(fit.x, fit.y,
-                             sensitivity=config.sensitivity)
-            if knee.found and knee.knee_x > 0 and \
-                    knee.knee_y >= config.knee_quality * float(fit.y.max()):
+            fits = fitter.fit(degree, active)
+            knees = find_knees(fits.x, fits.y,
+                               sensitivity=config.sensitivity)
+            accepted = (knees.found & (knees.knee_x > 0) &
+                        (knees.knee_y >= config.knee_quality *
+                         fits.y.max(axis=1)))
+            for index in np.flatnonzero(accepted):
+                knee = knees.row(index)
                 logger.debug(
                     "%s: knee at Q=%.2f (rate=%.2f) with degree-%d fit "
                     "over %d levels", self.name, knee.knee_x, knee.knee_y,
-                    degree, distinct)
-                return ConcurrencyEstimate(
-                    optimal_concurrency=max(1, int(round(knee.knee_x))),
-                    method="knee", knee=knee, fit=fit,
-                    samples=int(concurrency.size), threshold=threshold,
-                    max_concurrency=float(q_values.max()),
-                    fit_r2=r_squared(fit))
-        if config.allow_argmax_fallback and fallback_fit is not None:
-            best = int(np.argmax(fallback_fit.y))
-            optimal = max(1, int(round(float(fallback_fit.x[best]))))
-            logger.debug(
-                "%s: no confirmed knee across degrees %d-%d; argmax "
-                "fallback Q=%d", self.name, config.min_degree, max_degree,
-                optimal)
-            return ConcurrencyEstimate(
-                optimal_concurrency=optimal, method="argmax",
-                knee=find_knee(fallback_fit.x, fallback_fit.y,
-                               sensitivity=self.config.sensitivity),
-                fit=fallback_fit, samples=int(concurrency.size),
-                threshold=threshold,
-                max_concurrency=float(q_values.max()),
-                fit_r2=r_squared(fallback_fit))
-        return None
+                    degree, levels.shape[1])
+                yield (int(active[index]), "knee",
+                       max(1, int(round(knee.knee_x))), knee,
+                       fits.row(index))
+            if degree == max_degree and config.allow_argmax_fallback:
+                best = fits.x[np.arange(active.size),
+                              np.argmax(fits.y, axis=1)]
+                for index in np.flatnonzero(~accepted):
+                    optimal = max(1, int(round(float(best[index]))))
+                    logger.debug(
+                        "%s: no confirmed knee across degrees %d-%d; "
+                        "argmax fallback Q=%d", self.name,
+                        config.min_degree, max_degree, optimal)
+                    yield (int(active[index]), "argmax", optimal,
+                           knees.row(index), fits.row(index))
+            # Free this degree's curves before fitting the next one.
+            del fits, knees
+            active = active[~accepted]
+            if active.size == 0:
+                return
 
 
 class SCGModel(ScatterCurveModel):
@@ -216,10 +285,11 @@ class SCTModel(ScatterCurveModel):
 
     name = "sct"
 
-    def estimate(self, concurrency: np.ndarray, rate: np.ndarray,
-                 threshold: float | None = None
-                 ) -> ConcurrencyEstimate | None:
-        if threshold is not None:
+    def estimate_many(self, windows: _t.Sequence[Window],
+                      thresholds: _t.Sequence[float | None] | None = None
+                      ) -> list[ConcurrencyEstimate | None]:
+        if thresholds is not None and any(threshold is not None
+                                          for threshold in thresholds):
             raise ValueError(
                 "SCT is latency-agnostic; do not pass a threshold")
-        return super().estimate(concurrency, rate, threshold=None)
+        return super().estimate_many(windows)

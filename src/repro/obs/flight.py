@@ -7,8 +7,12 @@ Every phase feeds a per-phase count/total/max aggregate (the reports'
 phase table). A phase entered while a round is open — between
 :meth:`~FlightRecorder.begin_round` and
 :meth:`~FlightRecorder.record_round` — also becomes a child span of
-that round, nested under the phase it ran in, so ``scg_estimation``
-carries one ``estimate.<target>`` child per estimate. Rounds are kept
+that round, nested under the phase it ran in: the embedded
+controller's ``scg_estimation`` carries one ``estimate.<target>`` child
+per estimator, and the service's carries exactly one ``estimate.batch``
+child, the single batched estimation of every series it decides (each
+recommendation's latency is that batch's wall divided by the number of
+decisions). Rounds are kept
 as :class:`~repro.tracing.span.Span` trees in a bounded ring; span
 times are quantized to the microseconds the Jaeger export serializes,
 so the export served by ``/debug/rounds/{id}`` round-trips through

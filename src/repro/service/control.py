@@ -13,17 +13,19 @@ state:
 2. **Deadline propagation** — per-trace upstream budgets are folded at
    ingest time into a bounded window, so the per-round threshold is a
    cheap mean even with thousands of candidate services.
-3. **SCG estimation** — the scatter-curve model over each decided
-   service's windowed ``<Q, GP>`` pairs.
+3. **SCG estimation** — the scatter-curve model over every decided
+   service's windowed ``<Q, GP>`` pairs, in one
+   :meth:`~repro.core.scg.ScatterCurveModel.estimate_many` batch.
 
 Every round appends a :class:`~repro.obs.events.ControlRoundRecord` to
 the decision log. ``wall_ms`` is deliberately left unset on these
 records: the audit trail must replay byte-identically from the journal,
 and wall clocks do not replay. Wall latencies instead feed the
 service's *own* observability — a P² sketch and registry histogram of
-per-recommendation latency plus an SLO monitor with a burn-rate budget
-on the controller itself — exported through the existing OpenMetrics
-path.
+per-recommendation latency (each recommendation's amortized share of
+its round's estimation batch) plus an SLO monitor with a burn-rate
+budget on the controller itself — exported through the existing
+OpenMetrics path.
 
 Determinism contract: given the same sequence of
 ``ingest_metrics`` / ``ingest_traces`` / ``tick`` calls (with the
@@ -41,7 +43,7 @@ import numpy as np
 
 from repro.core.deadline import clamp_threshold
 from repro.core.localization import CriticalServiceLocator
-from repro.core.scg import SCGModel
+from repro.core.scg import ConcurrencyEstimate, SCGModel
 from repro.obs import (
     ControlRoundRecord,
     FlightRecorder,
@@ -230,89 +232,100 @@ class ControlPlane:
     # ------------------------------------------------------------------
     # Control rounds
     # ------------------------------------------------------------------
-    def _threshold(self, service: str) -> float:
-        """Propagated RT threshold from the ingest-time budget window.
+    def _thresholds(self, services: _t.Sequence[str]) -> dict[str, float]:
+        """Propagated RT thresholds from the ingest-time budget window.
 
-        Mean of ``sla - upstream_budget`` over window traces whose
-        critical path crossed ``service``, clamped to
+        One pass folds the window into ``service -> budgets`` (window
+        order) for the requested services. Each threshold is the mean
+        of ``sla - upstream_budget`` over window traces whose critical
+        path crossed the service, clamped to
         ``[floor_fraction * sla, sla]`` by
         :func:`~repro.core.deadline.clamp_threshold`; the full SLA when
         no trace did (a service with no observed upstreams keeps the
         whole budget).
         """
         cfg = self.config
-        budgets = [entry[service] for entry in self._budgets
-                   if service in entry]
-        if not budgets:
-            return cfg.sla
-        return clamp_threshold(cfg.sla - float(np.mean(budgets)),
-                               cfg.sla, cfg.floor_fraction)
+        budgets: dict[str, list[float]] = {name: [] for name in services}
+        for entry in self._budgets:
+            for service, budget in entry.items():
+                if service in budgets:
+                    budgets[service].append(budget)
+        return {name: (clamp_threshold(cfg.sla - float(np.mean(spent)),
+                                       cfg.sla, cfg.floor_fraction)
+                       if spent else cfg.sla)
+                for name, spent in budgets.items()}
 
-    def _decide(self, service: str, now: float,
-                threshold: float) -> TargetDecision:
-        """Estimate one service's optimum and record the verdict."""
+    def _decide(self, service: str, now: float, threshold: float,
+                samples: int,
+                estimate: ConcurrencyEstimate | None) -> TargetDecision:
+        """Record one service's verdict on its estimate."""
         cfg = self.config
         state = self._series[service]
-        with self.flight.phase(f"estimate.{service}") as timer:
-            concurrency, rate = state.pairs(now - cfg.window)
-            estimate = self.model.estimate(concurrency, rate,
-                                           threshold=threshold)
-            previous = self.recommendations.get(service)
-            before = (state.allocation if state.allocation is not None
-                      else previous.allocation if previous is not None
-                      else cfg.min_allocation)
-            if estimate is None:
-                decision = TargetDecision(
-                    target=service, trigger="round", outcome="hold",
-                    reason="no-estimate", before=before, after=before,
-                    threshold=threshold, samples=len(concurrency))
-            else:
-                allocation = min(cfg.max_allocation,
-                                 max(cfg.min_allocation,
-                                     estimate.optimal_concurrency))
-                knee = estimate.knee
-                knee_q = float(knee.knee_x) if knee.found else None
-                knee_rate = float(knee.knee_y) if knee.found else None
-                decision = TargetDecision(
-                    target=service, trigger="round",
-                    outcome=("applied" if allocation != before else "hold"),
-                    reason=(estimate.method if allocation != before
-                            else "unchanged"),
-                    before=before, after=allocation, threshold=threshold,
-                    method=estimate.method,
-                    knee_concurrency=knee_q,
-                    knee_rate=knee_rate,
-                    poly_degree=estimate.fit.degree,
-                    samples=estimate.samples,
-                    max_concurrency=float(estimate.max_concurrency),
-                    fit_r2=(float(estimate.fit_r2)
-                            if np.isfinite(estimate.fit_r2) else None))
-                self.recommendations[service] = Recommendation(
-                    service=service, allocation=allocation, before=before,
-                    method=estimate.method, threshold=threshold,
-                    round=self.rounds + 1, time=now,
-                    samples=estimate.samples,
-                    max_concurrency=float(estimate.max_concurrency),
-                    poly_degree=estimate.fit.degree,
-                    fit_r2=(float(estimate.fit_r2)
-                            if np.isfinite(estimate.fit_r2) else None),
-                    knee_concurrency=knee_q,
-                    knee_rate=knee_rate)
-                self.obs.timeline.record(f"rec.{service}", now,
-                                         float(allocation))
-        wall = timer.elapsed
+        previous = self.recommendations.get(service)
+        before = (state.allocation if state.allocation is not None
+                  else previous.allocation if previous is not None
+                  else cfg.min_allocation)
+        if estimate is None:
+            return TargetDecision(
+                target=service, trigger="round", outcome="hold",
+                reason="no-estimate", before=before, after=before,
+                threshold=threshold, samples=samples)
+        allocation = min(cfg.max_allocation,
+                         max(cfg.min_allocation,
+                             estimate.optimal_concurrency))
+        knee = estimate.knee
+        knee_q = float(knee.knee_x) if knee.found else None
+        knee_rate = float(knee.knee_y) if knee.found else None
+        decision = TargetDecision(
+            target=service, trigger="round",
+            outcome=("applied" if allocation != before else "hold"),
+            reason=(estimate.method if allocation != before
+                    else "unchanged"),
+            before=before, after=allocation, threshold=threshold,
+            method=estimate.method,
+            knee_concurrency=knee_q,
+            knee_rate=knee_rate,
+            poly_degree=estimate.fit.degree,
+            samples=estimate.samples,
+            max_concurrency=float(estimate.max_concurrency),
+            fit_r2=(float(estimate.fit_r2)
+                    if np.isfinite(estimate.fit_r2) else None))
+        self.recommendations[service] = Recommendation(
+            service=service, allocation=allocation, before=before,
+            method=estimate.method, threshold=threshold,
+            round=self.rounds + 1, time=now,
+            samples=estimate.samples,
+            max_concurrency=float(estimate.max_concurrency),
+            poly_degree=estimate.fit.degree,
+            fit_r2=(float(estimate.fit_r2)
+                    if np.isfinite(estimate.fit_r2) else None),
+            knee_concurrency=knee_q,
+            knee_rate=knee_rate)
+        self.obs.timeline.record(f"rec.{service}", now,
+                                 float(allocation))
+        return decision
+
+    def _observe_latency(self, wall: float, count: int,
+                         now: float) -> None:
+        """Feed one estimation batch's wall seconds to the controller's
+        own latency telemetry: the batch wall once into the
+        decisions/s total, and each of the ``count`` recommendations'
+        amortized share into the sketch, histogram and SLO monitor."""
         self._wall_total += wall
-        self.latency.observe(wall)
+        share = wall / count
         histogram = self.obs.registry.histogram(
             "service.recommendation.latency")
-        histogram.observe(wall)
+        slo = self.obs.slo
+        assert slo is not None
+        for _ in range(count):
+            self.latency.observe(share)
+            histogram.observe(share)
+            slo.observe(now, share)
         # Exemplar: pin the slowest recommendation to the self-trace
         # of the round that produced it, so the `/metrics` scrape links
-        # straight into `/debug/rounds/{id}`.
-        histogram.link_exemplar(self.rounds + 1, wall, now)
-        assert self.obs.slo is not None
-        self.obs.slo.observe(now, wall)
-        return decision
+        # straight into `/debug/rounds/{id}` (a round's recommendations
+        # share one latency, so one link per round suffices).
+        histogram.link_exemplar(self.rounds + 1, share, now)
 
     def tick(self, now: float | None = None,
              trigger: str = "cadence") -> ControlRoundRecord:
@@ -358,10 +371,21 @@ class ControlPlane:
                         decided.append(name)
 
         with flight.phase("deadline_propagation"):
-            thresholds = {name: self._threshold(name) for name in decided}
+            thresholds = self._thresholds(decided)
         with flight.phase("scg_estimation"):
-            decisions = tuple(self._decide(name, now, thresholds[name])
-                              for name in decided)
+            decisions: tuple[TargetDecision, ...] = ()
+            if decided:
+                with flight.phase("estimate.batch") as timer:
+                    windows = [self._series[name].pairs(now - cfg.window)
+                               for name in decided]
+                    estimates = self.model.estimate_many(
+                        windows, [thresholds[name] for name in decided])
+                    decisions = tuple(
+                        self._decide(name, now, thresholds[name],
+                                     len(concurrency), estimate)
+                        for name, (concurrency, _rate), estimate
+                        in zip(decided, windows, estimates))
+                self._observe_latency(timer.elapsed, len(decisions), now)
         with flight.phase("decision"):
             record = ControlRoundRecord(
                 time=now, controller=CONTROLLER_NAME, trigger=trigger,

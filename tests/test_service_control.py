@@ -192,6 +192,32 @@ def test_round_produces_scg_recommendation():
     assert status["slo"]["observed"] >= 1
 
 
+def test_every_decision_feeds_one_latency_observation():
+    # The batch wall is shared out over the round's decisions, so the
+    # latency telemetry still counts one observation per decision.
+    plane = ControlPlane(small_config(decide_top_k=0))
+    rng = np.random.default_rng(5)
+    services = ("cart", "orders", "payment")
+    for index in range(60):
+        q = 1.0 + (index % 20)
+        plane.ingest_metrics(render_snapshot(
+            float(index + 1), dict.fromkeys(services, 0.9),
+            dict.fromkeys(services, q),
+            {name: 30.0 * q / (1.0 + q / knee) + rng.normal(0.0, 1.5)
+             for name, knee in zip(services, (6.0, 10.0, 14.0))}))
+        if index % 20 == 19:
+            plane.tick()
+    plane.tick(now=plane.now)
+    assert plane.decisions_made == 4 * len(services)
+    status = plane.status()
+    assert status["recommendation_latency"]["count"] == \
+        plane.decisions_made
+    assert status["slo"]["observed"] == plane.decisions_made
+    histogram = plane.obs.registry.histogram(
+        "service.recommendation.latency")
+    assert histogram.count == plane.decisions_made
+
+
 def test_utilization_only_series_are_screened_not_estimated():
     plane = ControlPlane(small_config())
     knee_snapshots(plane)
