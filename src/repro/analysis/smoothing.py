@@ -40,22 +40,43 @@ class PolynomialFit:
         return np.polyval(self.coefficients, np.asarray(x, dtype=float))
 
 
+def aggregate_scatters(owner: np.ndarray, x: np.ndarray, y: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`aggregate_scatter` of many windows at once.
+
+    ``x`` and ``y`` concatenate the windows' samples and ``owner[i]``
+    is the window of sample ``i``. Returns ``(windows, levels,
+    means)``: one entry per distinct ``(window, x)``, sorted by window
+    then level, each mean summed in sample order (so every window's
+    result equals its own :func:`aggregate_scatter`, bit for bit).
+    """
+    if x.size == 0:
+        return owner, x, y
+    order = np.lexsort((x, owner))
+    owner, x, y = owner[order], x[order], y[order]
+    # A new level starts where the window or the value changes; NaN
+    # levels collapse into one, as np.unique collapses them.
+    step = (owner[1:] != owner[:-1]) | ((x[1:] != x[:-1])
+                                        & ~(np.isnan(x[1:])
+                                            & np.isnan(x[:-1])))
+    starts = np.flatnonzero(np.concatenate(([True], step)))
+    sums = np.add.reduceat(y, starts)
+    counts = np.diff(np.append(starts, x.size))
+    return owner[starts], x[starts], sums / counts
+
+
 def aggregate_scatter(x: np.ndarray, y: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Average ``y`` per distinct ``x`` ("for a specific concurrency Q_n
-    we calculate the average goodput GP_n", §3.2), sorted by ``x``."""
+    we calculate the average goodput GP_n", §3.2), sorted by ``x``: the
+    one-window case of :func:`aggregate_scatters`."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    if x.size == 0:
-        return x, y
-    order = np.argsort(x, kind="stable")
-    x_sorted, y_sorted = x[order], y[order]
-    unique_x, starts = np.unique(x_sorted, return_index=True)
-    sums = np.add.reduceat(y_sorted, starts)
-    counts = np.diff(np.append(starts, x_sorted.size))
-    return unique_x, sums / counts
+    _windows, levels, means = aggregate_scatters(
+        np.zeros(x.size, dtype=np.intp), x.ravel(), y.ravel())
+    return levels, means
 
 
 @dataclass(frozen=True)

@@ -12,10 +12,11 @@ concurrency as the knee of the main sequence curve:
 Estimation pipeline (phases 3–4 of Fig. 6): aggregate the scatter (mean
 rate per distinct concurrency), fit a smoothing polynomial whose degree
 is tuned incrementally (§3.3), and run Kneedle on the smooth curve.
-:meth:`ScatterCurveModel.estimate_many` runs the fit and Kneedle steps
-for every window of a control round in one vectorized pass per degree
-and per number of aggregated levels (each window keeps its own
-levels); :meth:`~ScatterCurveModel.estimate` is its one-window case.
+:meth:`ScatterCurveModel.estimate_many` quantizes and aggregates every
+window of a control round in one pass, then runs the fit and Kneedle
+steps in one vectorized pass per degree and per number of aggregated
+levels (each window keeps its own levels);
+:meth:`~ScatterCurveModel.estimate` is its one-window case.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from repro.analysis.kneedle import KneeResult, find_knees
 from repro.analysis.smoothing import (
     PolynomialFit,
     PolynomialFitter,
-    aggregate_scatter,
+    aggregate_scatters,
 )
 
 logger = logging.getLogger(__name__)
@@ -143,11 +144,12 @@ class ScatterCurveModel:
                       ) -> list[ConcurrencyEstimate | None]:
         """Estimate the optimal concurrency of every window.
 
-        Each window is quantized and aggregated on its own; windows
-        with the same number of aggregated levels are then stacked and
-        share one fit and one Kneedle pass per degree, each over its
-        own levels. A window's estimate does not depend on the other
-        windows in the call, bit for bit.
+        All windows are quantized and aggregated in one pass over
+        their concatenated samples; windows with the same number of
+        aggregated levels are then stacked and share one fit and one
+        Kneedle pass per degree, each over its own levels. A window's
+        estimate does not depend on the other windows in the call, bit
+        for bit.
 
         Args:
             windows: ``(concurrency, rate)`` sample pairs per window.
@@ -164,45 +166,48 @@ class ScatterCurveModel:
             raise ValueError(f"{len(thresholds)} thresholds for "
                              f"{len(windows)} windows")
         config = self.config
-        results: list[ConcurrencyEstimate | None] = [None] * len(windows)
-        #: level count -> (window indices, levels, per-level rates)
-        groups: dict[int, tuple[list[int], list[np.ndarray],
-                                list[np.ndarray]]] = {}
-        samples = [0] * len(windows)
-        for position, (concurrency, rate) in enumerate(windows):
+        count = len(windows)
+        results: list[ConcurrencyEstimate | None] = [None] * count
+        if count == 0:
+            return results
+        concurrency_parts, rate_parts = [], []
+        for concurrency, rate in windows:
             concurrency = np.asarray(concurrency, dtype=float)
             rate = np.asarray(rate, dtype=float)
             if concurrency.shape != rate.shape:
                 raise ValueError(
                     f"shape mismatch: {concurrency.shape} vs {rate.shape}")
-            samples[position] = int(concurrency.size)
-            if concurrency.size < config.min_samples:
-                continue
-            # Idle samples (zero concurrency) carry no information about
-            # the service's capacity curve.
-            busy = concurrency > 0
-            quantized = np.round(concurrency[busy] / config.quantum) * \
-                config.quantum
-            q_values, gp_values = aggregate_scatter(quantized, rate[busy])
-            # A degree close to the number of aggregated levels
-            # interpolates the noise instead of smoothing it (wild
-            # oscillation between levels); keep at least one excess
-            # degree of freedom.
-            if q_values.size < config.min_distinct or \
-                    min(config.max_degree, q_values.size - 2) < \
-                    config.min_degree:
-                continue
-            group = groups.setdefault(q_values.size, ([], [], []))
-            group[0].append(position)
-            group[1].append(q_values)
-            group[2].append(gp_values)
-        for positions, level_rows, rate_rows in groups.values():
-            levels = np.stack(level_rows)
-            rates = np.stack(rate_rows)
+            concurrency_parts.append(concurrency.ravel())
+            rate_parts.append(rate.ravel())
+        samples = np.array([part.size for part in concurrency_parts])
+        owner = np.repeat(np.arange(count), samples)
+        concurrency = np.concatenate(concurrency_parts)
+        rate = np.concatenate(rate_parts)
+        # Idle samples (zero concurrency) carry no information about
+        # the service's capacity curve.
+        busy = (samples >= config.min_samples)[owner] & (concurrency > 0)
+        quantized = np.round(concurrency[busy] / config.quantum) * \
+            config.quantum
+        level_owner, all_levels, all_rates = aggregate_scatters(
+            owner[busy], quantized, rate[busy])
+        sizes = np.bincount(level_owner, minlength=count)
+        offsets = np.cumsum(sizes) - sizes
+        # A degree close to the number of aggregated levels
+        # interpolates the noise instead of smoothing it (wild
+        # oscillation between levels); keep at least one excess degree
+        # of freedom.
+        usable = ((sizes >= config.min_distinct) &
+                  (np.minimum(config.max_degree, sizes - 2) >=
+                   config.min_degree))
+        for size in np.unique(sizes[usable]):
+            positions = np.flatnonzero(usable & (sizes == size))
+            rows = offsets[positions, None] + np.arange(size)
+            levels = all_levels[rows]
+            rates = all_rates[rows]
             gp_variance = np.var(rates, axis=1)
             for row, method, optimal, knee, fit in self._search(
                     levels, rates):
-                position = positions[row]
+                position = int(positions[row])
                 variance = float(gp_variance[row])
                 if variance == 0.0:
                     fit_r2 = 1.0 if fit.rmse == 0.0 else 0.0
@@ -210,7 +215,7 @@ class ScatterCurveModel:
                     fit_r2 = 1.0 - (fit.rmse ** 2) / variance
                 results[position] = ConcurrencyEstimate(
                     optimal_concurrency=optimal, method=method, knee=knee,
-                    fit=fit, samples=samples[position],
+                    fit=fit, samples=int(samples[position]),
                     threshold=thresholds[position],
                     max_concurrency=float(levels[row, -1]),
                     fit_r2=fit_r2)

@@ -88,26 +88,6 @@ class TimeSeries:
         self._start += int(np.searchsorted(
             self._times[self._start:self._end], before, side="left"))
 
-    def state_dict(self) -> dict:
-        """JSON-ready exact state (live samples only).
-
-        Floats survive a JSON round trip bit-exactly (``repr`` is the
-        shortest exact representation), which is what the audit
-        journal's checkpoint compaction relies on.
-        """
-        return {
-            "times": self._times[self._start:self._end].tolist(),
-            "values": self._values[self._start:self._end].tolist(),
-        }
-
-    @classmethod
-    def from_state(cls, state: dict) -> "TimeSeries":
-        """Inverse of :meth:`state_dict`."""
-        series = cls(capacity=max(256, len(state["times"])))
-        for time, value in zip(state["times"], state["values"]):
-            series.append(float(time), float(value))
-        return series
-
     def __len__(self) -> int:
         return self._end - self._start
 

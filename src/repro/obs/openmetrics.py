@@ -23,6 +23,10 @@ Dotted registry names are sanitized to the metric-name grammar
 (``sora.adaptations.applied`` → ``repro_sora_adaptations_applied``).
 :func:`parse_openmetrics` is the inverse used by the round-trip sanity
 test — a small, strict parser for exactly the dialect rendered here.
+Its line grammar, :func:`scan_openmetrics`, is the only one in the
+repository: the control-plane service scans scrapes with it too
+(:func:`repro.service.parse_metrics_snapshot`), keeping only the
+families it reads.
 """
 
 from __future__ import annotations
@@ -35,8 +39,8 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.slo import SLOMonitor
 
-__all__ = ["Exemplar", "Sample", "parse_openmetrics",
-           "render_openmetrics"]
+__all__ = ["Exemplar", "Sample", "label_value", "parse_openmetrics",
+           "render_openmetrics", "scan_openmetrics"]
 
 _NAME_OK = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -296,15 +300,39 @@ def _parse_labels(raw: str | None) -> dict[str, str]:
     return labels
 
 
-def parse_openmetrics(text: str) -> dict[str, dict]:
-    """Parse exposition text produced by :func:`render_openmetrics`.
+def label_value(raw: str | None, key: str) -> str | None:
+    """The value of label ``key`` in a sample's raw label text, as
+    :func:`parse_openmetrics` would read it (the last ``key`` wins),
+    or ``None`` when the sample does not carry it."""
+    value = None
+    if raw and key in raw:
+        for name, text in _LABEL.findall(raw):
+            if name == key:
+                value = text
+    if value is None or "\\" not in value:
+        return value
+    return _unescape_label(value)
 
-    Returns ``family -> {"type": str, "samples": [Sample, ...]}``,
-    where counter/summary suffixes (``_total``, ``_count``, ``_sum``)
-    stay on the sample names. Raises ``ValueError`` on malformed lines
-    or a missing ``# EOF`` terminator.
+
+_SUFFIXES = ("_total", "_count", "_sum")
+
+
+def scan_openmetrics(text: str) -> _t.Iterator[tuple]:
+    """The one strict line grammar of the dialect rendered here.
+
+    Yields ``(family, type, None, 0.0, None)`` for each ``# TYPE``
+    line, and ``(family, None, fields, value, exemplar)`` for each
+    sample line: ``fields`` holds the line's raw ``(name, labels,
+    value, exemplar labels, exemplar value, exemplar timestamp)`` text
+    (``None`` where absent), ``value`` its parsed value and
+    ``exemplar`` the parsed ``(value, timestamp)`` of its exemplar
+    clause, or ``None``. A sample belongs to the family its name
+    declares, after stripping a ``_total``/``_count``/``_sum`` suffix
+    whose base family is declared. Raises ``ValueError`` on malformed
+    lines, a sample of an undeclared family, or a missing ``# EOF``
+    terminator.
     """
-    families: dict[str, dict] = {}
+    declared: set[str] = set()
     saw_eof = False
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -316,8 +344,8 @@ def parse_openmetrics(text: str) -> dict[str, dict]:
             if len(parts) >= 2 and parts[1] == "EOF":
                 saw_eof = True
             elif len(parts) >= 4 and parts[1] == "TYPE":
-                families[parts[2]] = {"type": parts[3],
-                                      "samples": []}
+                declared.add(parts[2])
+                yield parts[2], parts[3], None, 0.0, None
             elif len(parts) >= 2 and parts[1] == "HELP":
                 continue
             else:
@@ -326,26 +354,41 @@ def parse_openmetrics(text: str) -> dict[str, dict]:
         match = _SAMPLE.match(line)
         if match is None:
             raise ValueError(f"line {lineno}: bad sample {line!r}")
-        name = match.group("name")
-        labels = _parse_labels(match.group("labels"))
+        fields = match.groups()
+        name, _labels, value, _exlabels, exvalue, exts = fields
         exemplar = None
-        if match.group("exvalue") is not None:
-            raw_ts = match.group("exts")
-            exemplar = Exemplar(
-                labels=_parse_labels(match.group("exlabels")),
-                value=float(match.group("exvalue")),
-                timestamp=float(raw_ts) if raw_ts is not None else None)
+        if exvalue is not None:
+            exemplar = (float(exvalue),
+                        float(exts) if exts is not None else None)
         family = name
-        for suffix in ("_total", "_count", "_sum"):
-            if family.endswith(suffix) and family[:-len(suffix)] in families:
-                family = family[:-len(suffix)]
-                break
-        entry = families.get(family)
-        if entry is None:
+        if name.endswith(_SUFFIXES):
+            base = name[:name.rindex("_")]
+            if base in declared:
+                family = base
+        if family not in declared:
             raise ValueError(
                 f"line {lineno}: sample {name!r} without # TYPE")
-        entry["samples"].append(
-            Sample(name, labels, float(match.group("value")), exemplar))
+        yield family, None, fields, float(value), exemplar
     if not saw_eof:
         raise ValueError("missing # EOF terminator")
+
+
+def parse_openmetrics(text: str) -> dict[str, dict]:
+    """Parse exposition text produced by :func:`render_openmetrics`.
+
+    Returns ``family -> {"type": str, "samples": [Sample, ...]}``,
+    where counter/summary suffixes (``_total``, ``_count``, ``_sum``)
+    stay on the sample names; a repeated ``# TYPE`` restarts its
+    family. Raises ``ValueError`` on malformed lines or a missing
+    ``# EOF`` terminator (see :func:`scan_openmetrics`).
+    """
+    families: dict[str, dict] = {}
+    for family, kind, fields, value, exemplar in scan_openmetrics(text):
+        if fields is None:
+            families[family] = {"type": kind, "samples": []}
+            continue
+        families[family]["samples"].append(Sample(
+            fields[0], _parse_labels(fields[1]), value,
+            None if exemplar is None else Exemplar(
+                _parse_labels(fields[3]), *exemplar)))
     return families

@@ -5,11 +5,11 @@ propagation, SCG-based soft-resource estimation — packaged as a
 long-lived asyncio service any system can point telemetry at, with
 clean layering:
 
-- **domain** (:mod:`repro.service.domain`) — config, per-series
-  streaming state, recommendations, the typed ingest-error taxonomy;
+- **domain** (:mod:`repro.service.domain`) — config, the columnar
+  series store, recommendations, the typed ingest-error taxonomy;
 - **adapters** (:mod:`repro.service.ingest`) — strict OpenMetrics
-  snapshots and Jaeger-shaped trace batches in, domain observations
-  out;
+  snapshots (one column per service) and Jaeger-shaped trace batches
+  in, domain observations out;
 - **application** (:mod:`repro.service.control`) — the online
   localization → propagation → estimation loop over streaming state,
   emitting typed decision records with SLOs on the controller itself;
@@ -46,7 +46,7 @@ from repro.service.control import ControlPlane
 from repro.service.domain import (
     IngestError,
     Recommendation,
-    SeriesState,
+    SeriesStore,
     ServiceConfig,
 )
 from repro.service.driver import (
@@ -73,7 +73,7 @@ __all__ = [
     "MetricsSnapshot",
     "Recommendation",
     "SeriesSample",
-    "SeriesState",
+    "SeriesStore",
     "ServiceClient",
     "ServiceConfig",
     "drive",

@@ -129,7 +129,7 @@ def render_flight_sections(plane: "ControlPlane",
         ("rejected ingests", int(rejected)),
         ("snapshots accepted", plane.snapshots_ingested),
         ("traces accepted", plane.traces_ingested),
-        ("tracked series", len(plane._series)),
+        ("tracked series", plane.status()["series"]),
     ]))
 
     health = journal.health()

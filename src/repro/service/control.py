@@ -58,7 +58,7 @@ from repro.obs import (
 from repro.service.domain import (
     IngestError,
     Recommendation,
-    SeriesState,
+    SeriesStore,
     ServiceConfig,
 )
 from repro.service.ingest import parse_metrics_snapshot, parse_trace_batch
@@ -110,7 +110,7 @@ class ControlPlane:
         #: Per-recommendation wall latency in seconds (P50/P99).
         self.latency = QuantileSketch((0.5, 0.99))
 
-        self._series: dict[str, SeriesState] = {}
+        self._store = SeriesStore()
         #: Per-trace ``service -> upstream self-time budget`` along the
         #: critical path, folded at ingest so round-time propagation is
         #: a mean over this window instead of a re-walk of every trace.
@@ -136,7 +136,8 @@ class ControlPlane:
         return self._pending
 
     def ingest_metrics(self, text: str) -> dict:
-        """Fold one OpenMetrics snapshot into the per-service state.
+        """Fold one OpenMetrics snapshot into the series store: one
+        row of pairs, plus the utilization and allocation readings.
 
         The snapshot is validated in full before any state mutates, so
         a rejection leaves the plane (and therefore the journal/replay
@@ -150,7 +151,9 @@ class ControlPlane:
                 tracked services than ``max_series`` allows,
                 ``"stale-snapshot"`` when the snapshot's time precedes
                 a sample already observed for one of its series (the
-                per-series clocks must be non-decreasing).
+                per-series clocks must be non-decreasing),
+                ``"bad-openmetrics"`` when a service with a pair
+                reports a NaN or infinite allocation.
         """
         cfg = self.config
         with self.flight.phase("ingest.metrics"):
@@ -162,52 +165,50 @@ class ControlPlane:
                     f"last control round (max_pending={cfg.max_pending}); "
                     f"retry after the next round")
             snapshot = parse_metrics_snapshot(text, cfg)
-            fresh = [name for name in snapshot.series
-                     if name not in self._series]
-            if len(self._series) + len(fresh) > cfg.max_series:
+            store = self._store
+            columns = store.columns(snapshot.services)
+            known = columns >= 0
+            tracked = len(store) + int(columns.size - known.sum())
+            if tracked > cfg.max_series:
                 self.obs.registry.counter("service.rejected").inc()
                 raise IngestError(
                     "series-limit",
-                    f"snapshot would track {len(self._series) + len(fresh)}"
+                    f"snapshot would track {tracked}"
                     f" services (max_series={cfg.max_series})")
             now = (snapshot.time if snapshot.time is not None
                    else self.now + 1.0)
             # Reject time regressions *before* mutating anything: a partial
             # apply would journal nothing yet leave live state diverged
             # from the journal, breaking replay byte-identity.
-            stale = sorted(
-                name for name, sample in snapshot.series.items()
-                if not (np.isnan(sample.concurrency)
-                        or np.isnan(sample.rate))
-                and name in self._series
-                and self._series[name].snapshots > 0
-                and now < self._series[name].updated)
-            if stale:
+            paired = snapshot.paired
+            checked = np.flatnonzero(paired & known)
+            seen = columns[checked]
+            stale = checked[(store.snapshots[seen] > 0)
+                            & (now < store.updated[seen])]
+            if stale.size:
                 self.obs.registry.counter("service.rejected").inc()
-                latest = max(self._series[name].updated for name in stale)
+                latest = float(store.updated[columns[stale]].max())
+                names = sorted(snapshot.services[i] for i in stale)
                 raise IngestError(
                     "stale-snapshot",
                     f"snapshot time {now} precedes already-observed "
-                    f"samples (latest {latest}) for: {', '.join(stale)}")
+                    f"samples (latest {latest}) for: {', '.join(names)}")
+            sized = paired & snapshot.has_allocation
+            if not np.isfinite(snapshot.allocation[sized]).all():
+                self.obs.registry.counter("service.rejected").inc()
+                raise IngestError(
+                    "bad-openmetrics",
+                    f"{cfg.allocation_family!r} must be finite for "
+                    f"services with pair telemetry")
             self.now = max(self.now, now)
-            for name, sample in snapshot.series.items():
-                state = self._series.get(name)
-                if state is None:
-                    state = self._series[name] = SeriesState(name)
-                if np.isnan(sample.concurrency) or np.isnan(sample.rate):
-                    # Utilization-only enrichment: no pair to append.
-                    if sample.utilization is not None:
-                        state.utilization = float(sample.utilization)
-                    continue
-                state.observe(now, sample.concurrency, sample.rate,
-                              sample.utilization, sample.allocation)
+            store.observe(now, store.track(snapshot.services), snapshot)
             self._pending += 1
             self.snapshots_ingested += 1
         self.obs.registry.counter("service.snapshots").inc()
         self.obs.registry.gauge("service.series").set(
-            float(len(self._series)))
+            float(len(self._store)))
         return {"accepted": True, "time": now,
-                "series": sorted(snapshot.series),
+                "series": sorted(snapshot.services),
                 "pending": self._pending}
 
     def ingest_traces(self, body: str | bytes) -> dict:
@@ -260,9 +261,9 @@ class ControlPlane:
                 estimate: ConcurrencyEstimate | None) -> TargetDecision:
         """Record one service's verdict on its estimate."""
         cfg = self.config
-        state = self._series[service]
+        reported = self._store.allocation(service)
         previous = self.recommendations.get(service)
-        before = (state.allocation if state.allocation is not None
+        before = (reported if reported is not None
                   else previous.allocation if previous is not None
                   else cfg.min_allocation)
         if estimate is None:
@@ -341,18 +342,15 @@ class ControlPlane:
         self.now = max(self.now, now)
         flight = self.flight
         flight.begin_round()
+        store = self._store
         with flight.phase("localization"):
-            utilizations = {name: state.utilization
-                            for name, state in self._series.items()
-                            if state.utilization is not None}
             report = self.locator.locate_from_aggregate(
-                self.analytics, utilizations)
+                self.analytics, store.utilizations())
 
             # Only services whose source exports pair telemetry can be
             # estimated; utilization-only series still feed screening
             # and correlations but cannot receive a verdict.
-            instrumented = {name for name, state in self._series.items()
-                            if state.snapshots > 0}
+            instrumented = set(store.instrumented())
             if cfg.decide_top_k == 0:
                 decided = sorted(instrumented)
             else:
@@ -376,8 +374,7 @@ class ControlPlane:
             decisions: tuple[TargetDecision, ...] = ()
             if decided:
                 with flight.phase("estimate.batch") as timer:
-                    windows = [self._series[name].pairs(now - cfg.window)
-                               for name in decided]
+                    windows = store.windows(decided, now - cfg.window)
                     estimates = self.model.estimate_many(
                         windows, [thresholds[name] for name in decided])
                     decisions = tuple(
@@ -400,8 +397,7 @@ class ControlPlane:
             self.rounds += 1
             self.decisions_made += len(decisions)
             self._pending = 0
-            for state in self._series.values():
-                state.prune(now - 2.0 * cfg.window)
+            store.prune(now - 2.0 * cfg.window)
             registry = self.obs.registry
             registry.counter("service.rounds").inc()
             registry.counter("service.decisions").inc(len(decisions))
@@ -415,7 +411,7 @@ class ControlPlane:
                 registry.gauge("service.decisions.per.second").set(
                     self.decisions_made / self._wall_total)
             self.obs.timeline.record("service.series", now,
-                                     float(len(self._series)))
+                                     float(len(store)))
         if flight:
             flight.record_round(
                 round_index=self.rounds, time=now, trigger=trigger,
@@ -432,9 +428,10 @@ class ControlPlane:
         """Exact decision-relevant state, JSON-ready.
 
         Captures everything the next ``tick`` reads when producing a
-        decision record: per-series pair windows, the deadline budget
-        window, current recommendations (the ``before`` baseline),
-        counters, the logical clock, and the critical-path aggregator
+        decision record: every series' pairs and readings (in the
+        version-1 per-series form), the deadline budget window,
+        current recommendations (the ``before`` baseline), counters,
+        the logical clock, and the critical-path aggregator
         (correlations + top-k paths + sketches). Wall-clock artifacts
         (latency sketches, the SLO monitor, the flight recorder) are
         deliberately excluded — they never reach decision records, so
@@ -449,8 +446,7 @@ class ControlPlane:
             "traces_ingested": self.traces_ingested,
             "decisions_made": self.decisions_made,
             "pending": self._pending,
-            "series": {name: state.state_dict()
-                       for name, state in sorted(self._series.items())},
+            "series": self._store.state_dict(),
             "budgets": [dict(entry) for entry in self._budgets],
             "recommendations": {
                 name: dataclasses.asdict(rec)
@@ -471,9 +467,7 @@ class ControlPlane:
         self.traces_ingested = int(state["traces_ingested"])
         self.decisions_made = int(state["decisions_made"])
         self._pending = int(state["pending"])
-        self._series = {
-            name: SeriesState.from_state(name, series_state)
-            for name, series_state in state["series"].items()}
+        self._store = SeriesStore.from_state(state["series"])
         self._budgets = deque(
             ({service: float(budget)
               for service, budget in entry.items()}
@@ -517,7 +511,7 @@ class ControlPlane:
             "rounds": self.rounds,
             "snapshots": self.snapshots_ingested,
             "traces": self.traces_ingested,
-            "series": len(self._series),
+            "series": len(self._store),
             "pending": self._pending,
             "decisions": self.decisions_made,
             "recommendations": len(self.recommendations),

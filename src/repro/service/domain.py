@@ -8,9 +8,10 @@ and persistence concerns:
 
 - :class:`ServiceConfig` — every tunable of the online pipeline
   (metric family names, SLA, cadence, scatter-model knobs, bounds);
-- :class:`SeriesState` — the bounded streaming state kept per
-  monitored service (windowed ``<concurrency, goodput>`` pairs plus
-  the latest utilization/allocation readings);
+- :class:`SeriesStore` — the bounded streaming state of every
+  monitored service in columns: one time column, one ``rows x
+  services`` array each for concurrency and goodput, and each
+  service's latest utilization/allocation readings;
 - :class:`Recommendation` — one SCG-backed soft-resource verdict,
   JSON-ready for the API layer;
 - :class:`IngestError` — the typed rejection taxonomy every adapter
@@ -20,6 +21,7 @@ and persistence concerns:
 
 from __future__ import annotations
 
+import math
 import typing as _t
 from dataclasses import dataclass, field
 
@@ -27,12 +29,14 @@ import numpy as np
 
 from repro.core.deadline import check_floor_fraction
 from repro.core.scg import ScatterModelConfig
-from repro.metrics.sampler import TimeSeries
+
+if _t.TYPE_CHECKING:  # pragma: no cover - type-only import
+    from repro.service.ingest import MetricsSnapshot
 
 __all__ = [
     "IngestError",
     "Recommendation",
-    "SeriesState",
+    "SeriesStore",
     "ServiceConfig",
 ]
 
@@ -219,78 +223,235 @@ class ServiceConfig:
         }
 
 
-class SeriesState:
-    """Bounded streaming state for one monitored service.
+class SeriesStore:
+    """Bounded streaming state of every monitored service, in columns.
 
-    Ingested snapshots append one ``<concurrency, goodput>`` pair each;
-    the control plane reads the trailing window back as arrays for the
-    scatter model. Retention is value-bounded by the underlying
-    :class:`~repro.metrics.sampler.TimeSeries` ring and time-bounded by
-    :meth:`prune`.
+    One column per service, in the order the services were first seen.
+    One row per accepted snapshot that carried a ``<concurrency,
+    goodput>`` pair: a shared time column plus one ``rows x services``
+    array each for concurrency and goodput, where NaN means "no pair
+    from this snapshot". Each column also keeps the service's latest
+    utilization and allocation readings, its pair count and the time of
+    its latest pair.
+
+    A service's pairs are non-decreasing in time (the control plane
+    rejects stale snapshots per service), but row times need not be: a
+    snapshot older than another service's latest pair is accepted for a
+    service that lags. So windows and pruning select rows by mask, and
+    a service's window is its pairs at or after ``since`` in insertion
+    order.
     """
 
-    __slots__ = ("name", "concurrency", "rate", "utilization",
-                 "allocation", "snapshots", "updated")
+    __slots__ = ("names", "_index", "updated", "snapshots", "_utilization",
+                 "_has_utilization", "_allocation", "_has_allocation",
+                 "_times", "_concurrency", "_rate", "_rows")
 
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.concurrency = TimeSeries()
-        self.rate = TimeSeries()
-        #: Latest utilization fraction reading (screening input).
-        self.utilization: float | None = None
-        #: Latest reported pool size, when the source exports one.
-        self.allocation: int | None = None
-        self.snapshots = 0
-        self.updated = 0.0
+    #: Per-column arrays (capacity-sized; the first ``len(self)`` live).
+    _COLUMNS = ("updated", "snapshots", "_utilization", "_has_utilization",
+                "_allocation", "_has_allocation")
 
-    def observe(self, time: float, concurrency: float, rate: float,
-                utilization: float | None = None,
-                allocation: float | None = None) -> None:
-        """Fold one snapshot's readings for this service."""
-        self.concurrency.append(time, float(concurrency))
-        self.rate.append(time, float(rate))
-        if utilization is not None:
-            self.utilization = float(utilization)
-        if allocation is not None:
-            self.allocation = max(1, int(round(allocation)))
-        self.snapshots += 1
-        self.updated = time
+    def __init__(self) -> None:
+        self.names: list[str] = []
+        self._index: dict[str, int] = {}
+        #: Time of each column's latest pair (0.0 before its first).
+        self.updated = np.zeros(0)
+        #: Pairs each column has received.
+        self.snapshots = np.zeros(0, dtype=np.int64)
+        self._utilization = np.zeros(0)
+        self._has_utilization = np.zeros(0, dtype=bool)
+        #: Rounded pool size, ``>= 1`` (float, so that every rounded
+        #: reading converts back to its exact integer).
+        self._allocation = np.zeros(0)
+        self._has_allocation = np.zeros(0, dtype=bool)
+        self._times = np.zeros(0)
+        self._concurrency = np.zeros((0, 0))
+        self._rate = np.zeros((0, 0))
+        self._rows = 0
 
-    def pairs(self, since: float = 0.0
-              ) -> tuple[np.ndarray, np.ndarray]:
-        """``(Q, GP)`` arrays observed at or after ``since``."""
-        _t1, concurrency = self.concurrency.window(since)
-        _t2, rate = self.rate.window(since)
-        size = min(len(concurrency), len(rate))
-        return concurrency[:size], rate[:size]
+    def __len__(self) -> int:
+        return len(self.names)
+
+    def columns(self, names: _t.Sequence[str]) -> np.ndarray:
+        """Column of each name, ``-1`` for services not yet tracked."""
+        index = self._index
+        return np.array([index.get(name, -1) for name in names],
+                        dtype=np.intp)
+
+    def track(self, names: _t.Sequence[str]) -> np.ndarray:
+        """Column of each name, giving untracked ones the next columns
+        in order."""
+        fresh = [name for name in names if name not in self._index]
+        if fresh:
+            self._reserve(self._rows, len(self.names) + len(fresh))
+            for name in fresh:
+                self._index[name] = len(self.names)
+                self.names.append(name)
+        return self.columns(names)
+
+    def _reserve(self, rows: int, columns: int) -> None:
+        """Grow the arrays (doubling) to hold ``rows x columns``."""
+        row_cap, col_cap = self._concurrency.shape
+        if rows <= row_cap and columns <= col_cap:
+            return
+        if columns > col_cap:
+            col_cap = max(64, 2 * col_cap, columns)
+            width = len(self.names)
+            for attr in self._COLUMNS:
+                old = getattr(self, attr)
+                new = np.zeros(col_cap, dtype=old.dtype)
+                new[:width] = old[:width]
+                setattr(self, attr, new)
+        if rows > row_cap:
+            row_cap = max(64, 2 * row_cap, rows)
+            times = np.zeros(row_cap)
+            times[:self._rows] = self._times[:self._rows]
+            self._times = times
+        for attr in ("_concurrency", "_rate"):
+            old = getattr(self, attr)
+            new = np.full((row_cap, col_cap), np.nan)
+            new[:old.shape[0], :old.shape[1]] = old
+            setattr(self, attr, new)
+
+    def observe(self, time: float, columns: np.ndarray,
+                snapshot: "MetricsSnapshot") -> None:
+        """Fold one snapshot whose services sit in ``columns``.
+
+        The services with a pair get one new row at ``time``, and their
+        reported allocations (which must be finite); every service gets
+        its reported utilization.
+        """
+        reported = snapshot.has_utilization
+        self._utilization[columns[reported]] = \
+            snapshot.utilization[reported]
+        self._has_utilization[columns[reported]] = True
+        paired = snapshot.paired
+        if not paired.any():
+            return
+        row = self._rows
+        self._reserve(row + 1, len(self.names))
+        pairs = columns[paired]
+        self._times[row] = time
+        self._concurrency[row, pairs] = snapshot.concurrency[paired]
+        self._rate[row, pairs] = snapshot.rate[paired]
+        self._rows = row + 1
+        self.updated[pairs] = time
+        self.snapshots[pairs] += 1
+        sized = paired & snapshot.has_allocation
+        self._allocation[columns[sized]] = np.maximum(
+            1.0, np.rint(snapshot.allocation[sized]))
+        self._has_allocation[columns[sized]] = True
+
+    def utilizations(self) -> dict[str, float]:
+        """Latest utilization of every service reporting one, in
+        column order."""
+        reported = np.flatnonzero(self._has_utilization[:len(self)])
+        return {self.names[column]: float(self._utilization[column])
+                for column in reported}
+
+    def instrumented(self) -> list[str]:
+        """Services that have received at least one pair."""
+        return [self.names[column] for column in
+                np.flatnonzero(self.snapshots[:len(self)] > 0)]
+
+    def allocation(self, name: str) -> int | None:
+        """Latest pool size reported alongside a pair, if any."""
+        column = self._index[name]
+        if not self._has_allocation[column]:
+            return None
+        return int(self._allocation[column])
+
+    def windows(self, names: _t.Sequence[str], since: float
+                ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """``(Q, GP)`` pairs of each service observed at or after
+        ``since``, read as one row-masked slice of the store."""
+        if not names:
+            return []
+        rows = np.flatnonzero(self._times[:self._rows] >= since)
+        block = np.ix_(rows, self.columns(names))
+        concurrency = self._concurrency[block].T
+        present = ~np.isnan(concurrency)
+        ends = np.cumsum(present.sum(axis=1)).tolist()
+        concurrency = concurrency[present]
+        rate = self._rate[block].T[present]
+        return [(concurrency[start:end], rate[start:end])
+                for start, end in zip([0] + ends[:-1], ends)]
 
     def prune(self, before: float) -> None:
-        """Drop pairs older than ``before``."""
-        self.concurrency.prune(before)
-        self.rate.prune(before)
+        """Drop the rows older than ``before``."""
+        rows = self._rows
+        keep = ~(self._times[:rows] < before)
+        kept = int(keep.sum())
+        if kept == rows:
+            return
+        self._times[:kept] = self._times[:rows][keep]
+        for block in (self._concurrency, self._rate):
+            block[:kept] = block[:rows][keep]
+            block[kept:rows] = np.nan
+        self._rows = kept
 
-    def state_dict(self) -> dict:
-        """Exact streaming state for journal checkpoint compaction."""
-        return {
-            "concurrency": self.concurrency.state_dict(),
-            "rate": self.rate.state_dict(),
-            "utilization": self.utilization,
-            "allocation": self.allocation,
-            "snapshots": self.snapshots,
-            "updated": self.updated,
-        }
+    def state_dict(self) -> dict[str, dict]:
+        """Exact per-service state, sorted by service, for journal
+        checkpoint compaction (version 1: each service's pairs as
+        ``concurrency``/``rate`` ``{"times", "values"}`` plus its
+        latest readings)."""
+        state = {}
+        times = self._times[:self._rows]
+        for name in sorted(self.names):
+            column = self._index[name]
+            values = self._concurrency[:self._rows, column]
+            present = ~np.isnan(values)
+            stamps = times[present].tolist()
+            state[name] = {
+                "concurrency": {"times": stamps,
+                                "values": values[present].tolist()},
+                "rate": {"times": list(stamps),
+                         "values": self._rate[:self._rows, column][
+                             present].tolist()},
+                "utilization": (float(self._utilization[column])
+                                if self._has_utilization[column]
+                                else None),
+                "allocation": self.allocation(name),
+                "snapshots": int(self.snapshots[column]),
+                "updated": float(self.updated[column]),
+            }
+        return state
 
     @classmethod
-    def from_state(cls, name: str, state: dict) -> "SeriesState":
-        """Inverse of :meth:`state_dict`."""
-        series = cls(name)
-        series.concurrency = TimeSeries.from_state(state["concurrency"])
-        series.rate = TimeSeries.from_state(state["rate"])
-        series.utilization = state["utilization"]
-        series.allocation = state["allocation"]
-        series.snapshots = int(state["snapshots"])
-        series.updated = float(state["updated"])
-        return series
+    def from_state(cls, state: dict[str, dict]) -> "SeriesStore":
+        """Inverse of :meth:`state_dict`: columns in ``state`` order,
+        rows merged on ``(time, occurrence)`` so that equal timestamps
+        of one service keep their order."""
+        store = cls()
+        store.track(list(state))
+        keys: list[list[tuple[float, int, float]]] = []
+        for series in state.values():
+            seen: dict[tuple[float, float], int] = {}
+            own = []
+            for time in series["concurrency"]["times"]:
+                # Keep 0.0 and -0.0 apart so each re-emits exactly.
+                exact = (float(time), math.copysign(1.0, time))
+                occurrence = seen.get(exact, 0)
+                seen[exact] = occurrence + 1
+                own.append((exact[0], occurrence, exact[1]))
+            keys.append(own)
+        rows = sorted({key for own in keys for key in own})
+        row_of = {key: row for row, key in enumerate(rows)}
+        store._reserve(len(rows), len(store))
+        store._times[:len(rows)] = [key[0] for key in rows]
+        store._rows = len(rows)
+        for column, (series, own) in enumerate(zip(state.values(), keys)):
+            at = [row_of[key] for key in own]
+            store._concurrency[at, column] = series["concurrency"]["values"]
+            store._rate[at, column] = series["rate"]["values"]
+            if series["utilization"] is not None:
+                store._utilization[column] = float(series["utilization"])
+                store._has_utilization[column] = True
+            if series["allocation"] is not None:
+                store._allocation[column] = int(series["allocation"])
+                store._has_allocation[column] = True
+            store.snapshots[column] = int(series["snapshots"])
+            store.updated[column] = float(series["updated"])
+        return store
 
 
 @dataclass(frozen=True)

@@ -101,10 +101,12 @@ def render_snapshot(now: float, utilization: dict[str, float],
                     prefix: str = "sora") -> str:
     """Render one scrape in the exposition the service ingests.
 
-    The output round-trips through the strict
-    :func:`repro.obs.parse_openmetrics` parser; family names follow
-    the service's defaults (``sora_concurrency``, ``sora_goodput``,
-    ``sora_utilization``, ``sora_allocation``, ``sora_now``).
+    The output parses under the strict OpenMetrics line grammar that
+    :func:`repro.obs.parse_openmetrics` and
+    :func:`repro.service.parse_metrics_snapshot` share; family names
+    follow the service's defaults (``sora_concurrency``,
+    ``sora_goodput``, ``sora_utilization``, ``sora_allocation``,
+    ``sora_now``).
     """
     lines: list[str] = []
 

@@ -4,11 +4,15 @@ Two wire formats come in, both already spoken elsewhere in the repo:
 
 - **OpenMetrics text exposition** — the exact format
   :func:`repro.obs.render_openmetrics` emits and any Prometheus-style
-  scraper produces. Parsing reuses the strict round-trip parser
-  (:func:`repro.obs.parse_openmetrics`), so malformed payloads are
-  rejected with the parser's established error taxonomy ("bad
-  sample", "bad comment", "missing # EOF terminator", ...) wrapped in
-  a typed :class:`~repro.service.domain.IngestError`.
+  scraper produces. Parsing is one strict pass of the repository's
+  single OpenMetrics line grammar
+  (:func:`repro.obs.openmetrics.scan_openmetrics`, which
+  :func:`repro.obs.parse_openmetrics` also runs) that keeps only the
+  configured ``sora_*`` families and writes them straight into one
+  column per service; no per-sample objects or label dicts are built.
+  Malformed payloads are rejected with the grammar's established error
+  taxonomy ("bad sample", "bad comment", "missing # EOF terminator",
+  ...) wrapped in a typed :class:`~repro.service.domain.IngestError`.
 - **Jaeger-API-shaped JSON trace batches** — the ``data[].spans[]``
   document :func:`repro.tracing.export_traces` writes and Jaeger's
   HTTP API returns, parsed by
@@ -23,9 +27,11 @@ from __future__ import annotations
 
 import json
 import typing as _t
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.obs.openmetrics import parse_openmetrics
+import numpy as np
+
+from repro.obs.openmetrics import label_value, scan_openmetrics
 from repro.service.domain import IngestError, ServiceConfig
 from repro.tracing.export import traces_from_jaeger
 from repro.tracing.span import Span
@@ -39,7 +45,8 @@ __all__ = [
 
 
 class SeriesSample(_t.NamedTuple):
-    """One service's readings extracted from a metrics snapshot."""
+    """One service's readings in a metrics snapshot (a row of
+    :attr:`MetricsSnapshot.series`)."""
 
     concurrency: float
     rate: float
@@ -49,32 +56,57 @@ class SeriesSample(_t.NamedTuple):
 
 @dataclass(frozen=True)
 class MetricsSnapshot:
-    """A validated scrape: per-service readings plus an optional
-    source-supplied logical timestamp (``None`` when the exposition
-    carries no clock family — the control plane then assigns ingest
-    order as the logical time, which keeps replay deterministic).
+    """A validated scrape, one column per service.
+
+    ``services`` lists the services with both a concurrency and a rate
+    reading in sorted order, then the utilization-only services in the
+    order the scrape first names them; the arrays are aligned with it.
+    Utilization-only services read NaN concurrency and rate; the
+    ``has_*`` masks tell which services report a utilization or an
+    allocation. ``time`` is the source-supplied logical timestamp, or
+    ``None`` when the exposition carries no clock family — the control
+    plane then assigns ingest order as the logical time, which keeps
+    replay deterministic.
     """
 
     time: float | None
-    series: dict[str, SeriesSample] = field(default_factory=dict)
+    services: tuple[str, ...]
+    concurrency: np.ndarray
+    rate: np.ndarray
+    utilization: np.ndarray
+    has_utilization: np.ndarray
+    allocation: np.ndarray
+    has_allocation: np.ndarray
+
+    @property
+    def paired(self) -> np.ndarray:
+        """Which services carry a ``<concurrency, goodput>`` pair
+        (neither reading NaN)."""
+        return ~(np.isnan(self.concurrency) | np.isnan(self.rate))
+
+    @property
+    def series(self) -> dict[str, SeriesSample]:
+        """``service -> SeriesSample``, in column order."""
+        return {
+            name: SeriesSample(
+                float(self.concurrency[index]), float(self.rate[index]),
+                (float(self.utilization[index])
+                 if self.has_utilization[index] else None),
+                (float(self.allocation[index])
+                 if self.has_allocation[index] else None))
+            for index, name in enumerate(self.services)}
 
 
-def _by_service(families: dict, family: str,
-                label: str) -> dict[str, float]:
-    """``service -> value`` for one gauge family (strict on labels)."""
-    entry = families.get(family)
-    if entry is None:
-        return {}
-    values: dict[str, float] = {}
-    for sample in entry["samples"]:
-        service = sample.labels.get(label)
-        if service is None:
-            raise IngestError(
-                "missing-label",
-                f"sample {sample.name} lacks the "
-                f"{label!r} label identifying its service")
-        values[service] = sample.value
-    return values
+def _column(readings: dict[str, float],
+            services: _t.Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``(values, present)`` of one family over ``services`` (NaN
+    where absent)."""
+    nan = float("nan")
+    values = np.array([readings.get(name, nan) for name in services],
+                      dtype=np.float64)
+    present = np.array([name in readings for name in services],
+                       dtype=bool)
+    return values, present
 
 
 def parse_metrics_snapshot(text: str,
@@ -82,54 +114,89 @@ def parse_metrics_snapshot(text: str,
     """Validate one OpenMetrics exposition into a snapshot.
 
     Raises:
-        IngestError: ``"bad-openmetrics"`` when the strict parser
+        IngestError: ``"bad-openmetrics"`` when the strict grammar
             rejects the text (its message is preserved verbatim),
-            ``"missing-family"`` when the required concurrency/rate
-            families are absent or empty, ``"missing-label"`` when a
-            sample cannot be attributed to a service.
+            ``"missing-label"`` when a sample of the concurrency, rate,
+            utilization or allocation family (checked in that order)
+            cannot be attributed to a service, ``"missing-family"``
+            when the required concurrency/rate families are absent,
+            empty, or share no service.
     """
+    label = config.service_label
+    clock_family = config.time_family
+    wanted = (config.concurrency_family, config.rate_family,
+              config.utilization_family, config.allocation_family)
+    #: Per wanted family: ``service -> value`` (a repeated service keeps
+    #: its first position and its last value).
+    readings: tuple[dict[str, float], ...] = ({}, {}, {}, {})
+    #: Per wanted family: the first sample lacking the service label.
+    unlabelled: list[str | None] = [None] * len(wanted)
+    roles: dict[str, list[int]] = {}
+    for role, family in enumerate(wanted):
+        roles.setdefault(family, []).append(role)
+    declared: set[str] = set()
+    clock: float | None = None
     try:
-        families = parse_openmetrics(text)
+        for family, kind, fields, value, _exemplar in \
+                scan_openmetrics(text):
+            if fields is None:
+                # A (re)declared family starts over, as in
+                # parse_openmetrics.
+                declared.add(family)
+                if family == clock_family:
+                    clock = None
+                for role in roles.get(family, ()):
+                    readings[role].clear()
+                    unlabelled[role] = None
+                continue
+            if family == clock_family and clock is None:
+                clock = value
+            family_roles = roles.get(family)
+            if family_roles is None:
+                continue
+            service = label_value(fields[1], label)
+            for role in family_roles:
+                if service is not None:
+                    readings[role][service] = value
+                elif unlabelled[role] is None:
+                    unlabelled[role] = fields[0]
     except ValueError as exc:
         raise IngestError("bad-openmetrics", str(exc)) from exc
 
-    label = config.service_label
-    concurrency = _by_service(families, config.concurrency_family, label)
-    rate = _by_service(families, config.rate_family, label)
-    utilization = _by_service(families, config.utilization_family, label)
-    allocation = _by_service(families, config.allocation_family, label)
+    for name in unlabelled:
+        if name is not None:
+            raise IngestError(
+                "missing-label",
+                f"sample {name} lacks the "
+                f"{label!r} label identifying its service")
+    concurrency, rate, utilization, allocation = readings
     if not concurrency or not rate:
         raise IngestError(
             "missing-family",
             f"snapshot needs non-empty {config.concurrency_family!r} "
             f"and {config.rate_family!r} families (got "
-            f"{sorted(families)})")
-
-    series: dict[str, SeriesSample] = {}
-    for service in sorted(concurrency.keys() & rate.keys()):
-        series[service] = SeriesSample(
-            concurrency=concurrency[service],
-            rate=rate[service],
-            utilization=utilization.get(service),
-            allocation=allocation.get(service),
-        )
-    if not series:
+            f"{sorted(declared)})")
+    paired = sorted(concurrency.keys() & rate.keys())
+    if not paired:
         raise IngestError(
             "missing-family",
             "concurrency and rate families share no service label")
     # Utilization-only services still matter: they feed the screening
     # step even when the source exports no pool telemetry for them.
-    for service, value in utilization.items():
-        if service not in series:
-            series[service] = SeriesSample(
-                concurrency=float("nan"), rate=float("nan"),
-                utilization=value, allocation=allocation.get(service))
-
-    time: float | None = None
-    clock = families.get(config.time_family)
-    if clock is not None and clock["samples"]:
-        time = float(clock["samples"][0].value)
-    return MetricsSnapshot(time=time, series=series)
+    services = paired + [name for name in utilization
+                         if name not in concurrency or name not in rate]
+    unpaired = [float("nan")] * (len(services) - len(paired))
+    utilization_column, has_utilization = _column(utilization, services)
+    allocation_column, has_allocation = _column(allocation, services)
+    return MetricsSnapshot(
+        time=clock, services=tuple(services),
+        concurrency=np.array(
+            [concurrency[name] for name in paired] + unpaired,
+            dtype=np.float64),
+        rate=np.array([rate[name] for name in paired] + unpaired,
+                      dtype=np.float64),
+        utilization=utilization_column, has_utilization=has_utilization,
+        allocation=allocation_column, has_allocation=has_allocation)
 
 
 def parse_trace_batch(body: str | bytes) -> list[Span]:

@@ -209,8 +209,32 @@ class TestEstimateMany:
         windows += [(nan_q, nan_gp), (inf_q, inf_gp)]
         return windows
 
+    def awkward_windows(self):
+        """Windows the one-pass aggregation must split exactly: idle
+        samples, levels repeated out of order, NaN concurrency."""
+        rng = np.random.default_rng(22)
+        idle_q, idle_gp = saturating_pairs(rng, knee=6.0)
+        idle_q[rng.random(idle_q.size) < 0.25] = 0.0
+        levels = rng.permutation(np.repeat(np.arange(1.0, 16.0), 12))
+        repeated = (levels, 30.0 * levels / (1.0 + levels / 7.0)
+                    + rng.normal(0.0, 1.0, levels.size))
+        nan_q, nan_gp = saturating_pairs(rng, knee=9.0)
+        nan_q[::9] = np.nan
+        # Fractional concurrency that quantizes onto shared levels.
+        fractional = (rng.uniform(0.3, 12.0, 200),
+                      rng.uniform(0.0, 50.0, 200))
+        # Idle and NaN samples leave too few busy levels to estimate.
+        sparse = (np.array([0.0, np.nan, 2.0, 3.0] * 15),
+                  np.arange(60.0))
+        return [(idle_q, idle_gp), repeated, (nan_q, nan_gp), fractional,
+                sparse]
+
     def test_batch_equals_each_window_alone(self):
-        windows = self.mixed_windows()
+        base = self.mixed_windows()
+        awkward = self.awkward_windows()
+        # Awkward windows interleave with the mixed ones, so their
+        # samples sit between other windows' in the concatenation.
+        windows = base[:8] + awkward + base[8:]
         thresholds = [0.1 * (index % 4) or None
                       for index in range(len(windows))]
         model = SCGModel()
@@ -224,10 +248,17 @@ class TestEstimateMany:
         # Every branch is in the batch.
         assert batched[-5] is not None and batched[-5].method == "knee"
         assert batched[-4] is None and batched[-3] is None
-        assert {estimate.method for estimate in batched[:16]} <= {
+        mixed = batched[:8] + batched[8 + len(awkward):][:8]
+        assert {estimate.method for estimate in mixed} <= {
             "knee", "argmax"}
-        assert {estimate.max_concurrency for estimate in batched[:16]} == {
+        assert {estimate.max_concurrency for estimate in mixed} == {
             10.0, 14.0, 20.0, 27.0}
+        awkward_estimates = batched[8:8 + len(awkward)]
+        assert all(estimate is not None
+                   for estimate in awkward_estimates[:-1])
+        assert awkward_estimates[-1] is None
+        assert awkward_estimates[0].samples == 240  # idle ones count
+        assert awkward_estimates[1].max_concurrency == 15.0
 
     def test_non_finite_windows_fall_back_and_stay_isolated(self):
         windows = self.mixed_windows()

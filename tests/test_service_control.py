@@ -304,14 +304,35 @@ def test_stale_snapshot_is_rejected_before_any_mutation():
     assert excinfo.value.code == "stale-snapshot"
     assert "cart" in excinfo.value.detail
     # Nothing mutated: no new series, no queued snapshot, no samples.
-    assert "aaa" not in plane._series
+    assert "aaa" not in plane.checkpoint()["series"]
     assert plane.pending == pending
-    assert plane._series["cart"].snapshots == 1
+    assert plane.checkpoint()["series"]["cart"]["snapshots"] == 1
     assert plane.now == 10.0
     # Ingestion at a non-regressing time still works afterwards.
     plane.ingest_metrics(render_snapshot(
         10.0, {}, {"cart": 5.0}, {"cart": 22.0}))
-    assert plane._series["cart"].snapshots == 2
+    assert plane.checkpoint()["series"]["cart"]["snapshots"] == 2
+
+
+def test_non_finite_allocation_is_rejected_before_any_mutation():
+    plane = ControlPlane(small_config())
+    for value in ("NaN", "+Inf"):
+        text = render_snapshot(1.0, {"cart": 0.9}, {"cart": 3.0},
+                               {"cart": 20.0}, {"cart": 5}).replace(
+            'sora_allocation{service="cart"} 5',
+            f'sora_allocation{{service="cart"}} {value}')
+        with pytest.raises(IngestError) as excinfo:
+            plane.ingest_metrics(text)
+        assert excinfo.value.code == "bad-openmetrics"
+        assert "sora_allocation" in excinfo.value.detail
+        assert plane.checkpoint()["series"] == {}
+        assert plane.pending == 0
+    # Only the allocation of a service with a pair is read, so a NaN
+    # beside a utilization-only reading is accepted and ignored.
+    plane.ingest_metrics(render_snapshot(
+        1.0, {"front-end": 0.3}, {"cart": 3.0}, {"cart": 20.0},
+        {"front-end": float("nan")}))
+    assert plane.checkpoint()["series"]["front-end"]["allocation"] is None
 
 
 def test_stale_utilization_only_snapshot_still_enriches():
@@ -323,8 +344,9 @@ def test_stale_utilization_only_snapshot_still_enriches():
     plane.ingest_metrics(render_snapshot(
         5.0, {"cart": 0.8, "cart-db": 0.99}, {"other": 1.0},
         {"other": 2.0}))
-    assert plane._series["cart"].utilization == 0.8
-    assert plane._series["cart"].snapshots == 1
+    cart = plane.checkpoint()["series"]["cart"]
+    assert cart["utilization"] == 0.8
+    assert cart["snapshots"] == 1
 
 
 # ----------------------------------------------------------------------
