@@ -109,8 +109,7 @@ def test_perf_kernel_report(benchmark):
     full-scale artifact.
     """
     report = once(benchmark,
-                  lambda: run_bench_suite(scale=SCALE, repeats=3,
-                                          include_scale_sweep=True))
+                  lambda: run_bench_suite(scale=SCALE, repeats=3))
     path = publish_json("BENCH_kernel", report)
     assert path.exists()
     stats = report["benchmarks"]

@@ -94,69 +94,6 @@ class MvaResult:
         return base
 
 
-def solve_mva_all(stations: _t.Sequence[Station], population: int,
-                  think_time: float = 0.0) -> list[MvaResult]:
-    """Exact MVA at *every* population ``0..N`` in one pass.
-
-    The exact recursion steps through each intermediate population to
-    reach ``N`` regardless; this variant captures them all, so a sweep
-    over populations (the fluid fast path's quasi-static trace walk)
-    costs one recursion instead of one per distinct population —
-    ``O(N^2)`` total rather than ``O(N^3)`` with load-dependent
-    stations. ``result[n]`` is the solution at population ``n``.
-    """
-    if population < 0:
-        raise ValueError(f"negative population {population}")
-    if think_time < 0:
-        raise ValueError(f"negative think_time {think_time}")
-    names = [s.name for s in stations]
-    if len(set(names)) != len(names):
-        raise ValueError("station names must be unique")
-
-    results = [MvaResult(population=0, throughput=0.0,
-                         response_times={s.name: 0.0 for s in stations},
-                         queue_lengths={s.name: 0.0 for s in stations})]
-    queues = {s.name: 0.0 for s in stations}
-    marginals = {s.name: [1.0] for s in stations if s.kind == "multi"}
-    response: dict[str, float] = {s.name: 0.0 for s in stations}
-    for n in range(1, population + 1):
-        for s in stations:
-            if s.kind == "delay":
-                per_visit = s.demand
-            elif s.kind == "multi":
-                prior = marginals[s.name]
-                per_visit = s.demand * sum(
-                    (j / min(j, s.servers)) * prior[j - 1]
-                    for j in range(1, n + 1)) if s.demand > 0 else 0.0
-            else:
-                per_visit = s.demand * (1.0 + queues[s.name])
-            response[s.name] = s.visits * per_visit
-        denominator = think_time + sum(response.values())
-        throughput = n / denominator if denominator > 0 else float("inf")
-        for s in stations:
-            if s.kind == "multi":
-                if s.demand == 0:
-                    queues[s.name] = 0.0
-                    marginals[s.name] = [1.0] + [0.0] * n
-                    continue
-                prior = marginals[s.name]
-                updated = [0.0] * (n + 1)
-                for j in range(1, n + 1):
-                    rate = min(j, s.servers) / s.demand
-                    updated[j] = (throughput * s.visits / rate) * \
-                        prior[j - 1]
-                updated[0] = max(0.0, 1.0 - sum(updated[1:]))
-                marginals[s.name] = updated
-                queues[s.name] = sum(j * p for j, p in enumerate(updated))
-            else:
-                queues[s.name] = throughput * response[s.name]
-        results.append(MvaResult(
-            population=n, throughput=throughput,
-            response_times=dict(response),
-            queue_lengths=dict(queues)))
-    return results
-
-
 def solve_mva(stations: _t.Sequence[Station], population: int,
               think_time: float = 0.0) -> MvaResult:
     """Exact single-class MVA (load-dependent for multi-core stations).
@@ -243,85 +180,6 @@ def solve_mva_sweep(stations: _t.Sequence[Station],
                     think_time: float = 0.0) -> list[MvaResult]:
     """MVA solutions at several population sizes."""
     return [solve_mva(stations, n, think_time) for n in populations]
-
-
-def solve_mva_schweitzer(stations: _t.Sequence[Station],
-                         population: int, think_time: float = 0.0,
-                         tol: float = 1e-10,
-                         max_iter: int = 100_000) -> MvaResult:
-    """Approximate MVA (Schweitzer-Bard fixed point).
-
-    The exact recursion costs ``O(N)`` populations (``O(N^2)`` with
-    load-dependent stations) — hopeless at the million-user scale the
-    fluid fast path targets. Schweitzer's approximation replaces the
-    arrival-theorem term ``Q_k(n-1)`` with ``Q_k(n) * (n-1)/n`` and
-    iterates to a fixed point, making the cost independent of ``N``.
-    Multi-server stations use the Seidmann transform: a ``c``-server
-    station of demand ``s`` becomes a queueing station of demand
-    ``s/c`` in series with a pure delay of ``s*(c-1)/c`` — exact at
-    both the light- and heavy-traffic limits.
-
-    Accuracy is the textbook AMVA profile: exact for pure delay
-    networks, worst (a few percent on throughput, more on queue
-    lengths) around the saturation knee ``N*``; the fluid validation
-    suite pins the error against :func:`solve_mva` on the conformance
-    family. Same result contract as :func:`solve_mva`.
-    """
-    if population < 0:
-        raise ValueError(f"negative population {population}")
-    if think_time < 0:
-        raise ValueError(f"negative think_time {think_time}")
-    names = [s.name for s in stations]
-    if len(set(names)) != len(names):
-        raise ValueError("station names must be unique")
-    if population == 0:
-        return MvaResult(population=0, throughput=0.0,
-                         response_times={s.name: 0.0 for s in stations},
-                         queue_lengths={s.name: 0.0 for s in stations})
-
-    # Seidmann transform: (queueing_demand, fixed_delay) per station.
-    split: list[tuple[Station, float, float]] = []
-    for s in stations:
-        if s.kind == "delay":
-            split.append((s, 0.0, s.demand))
-        elif s.kind == "multi":
-            c = s.servers
-            split.append((s, s.demand / c, s.demand * (c - 1) / c))
-        else:
-            split.append((s, s.demand, 0.0))
-
-    n = population
-    scale = (n - 1) / n
-    total = sum(s.visits * s.demand for s in stations) or 1.0
-    # Contended (queueing-stage) population only: the Seidmann delay
-    # stage holds jobs but exerts no contention on arrivals.
-    contended = {s.name: n * (s.visits * s.demand) / total
-                 for s in stations}
-    queues: dict[str, float] = {}
-    throughput = 0.0
-    response: dict[str, float] = {}
-    for _ in range(max_iter):
-        for s, q_demand, d_delay in split:
-            per_visit_q = q_demand * (1.0 + scale * contended[s.name])
-            response[s.name] = s.visits * (d_delay + per_visit_q)
-        denominator = think_time + sum(response.values())
-        throughput = n / denominator if denominator > 0 else float("inf")
-        delta = 0.0
-        for s, q_demand, d_delay in split:
-            resp = response[s.name]
-            updated = throughput * (resp - s.visits * d_delay)
-            diff = updated - contended[s.name]
-            if diff > delta:
-                delta = diff
-            elif -diff > delta:
-                delta = -diff
-            contended[s.name] = updated
-            queues[s.name] = throughput * resp
-        if delta <= tol * max(1.0, n):
-            break
-    return MvaResult(population=population, throughput=throughput,
-                     response_times=dict(response),
-                     queue_lengths=dict(queues))
 
 
 def bottleneck(stations: _t.Sequence[Station]) -> Station:

@@ -165,60 +165,11 @@ def cmd_bench(args) -> int:
     report = run_bench_suite(scale=args.scale,
                              max_workers=args.workers,
                              include_parallel=not args.no_parallel,
-                             include_scale_sweep=not args.no_scale_sweep,
                              repeats=args.repeats)
     print(render_report(report))
     if args.output:
         path = write_report(report, args.output)
         print(f"wrote {path}")
-    return 0
-
-
-def cmd_hybrid(args) -> int:
-    from repro.sim.fluid import run_scenario_hybrid
-    from repro.workloads.traces import WorkloadTrace
-
-    if args.des_window <= 0 or args.des_window > args.duration:
-        print("error: need 0 < --des-window <= --duration",
-              file=sys.stderr)
-        return 2
-    target = build_trace(args.trace, duration=args.duration,
-                         peak_users=args.peak_users,
-                         min_users=args.min_users)
-    # The DES head runs a small flat calibration population: measured
-    # per-request demands don't depend on how many users submit, and a
-    # million-user head would take longer than the day it calibrates.
-    calibration = WorkloadTrace(
-        "calibration", max(args.des_window, 1.0),
-        args.calibration_users, args.calibration_users, lambda u: 1.0)
-    builder = SCENARIOS[args.scenario]
-    scenario = builder(trace=calibration, controller=args.controller,
-                       autoscaler=args.autoscaler, sla=args.sla,
-                       seed=args.seed)
-    result = run_scenario_hybrid(scenario, duration=args.duration,
-                                 des_window=args.des_window,
-                                 interval=args.interval,
-                                 fluid_trace=target)
-    fluid = result.fluid
-    print(f"{args.scenario} / {args.trace}: DES head "
-          f"{args.des_window:g}s ({args.calibration_users} users) + "
-          f"fluid tail to {args.duration:g}s "
-          f"(peak {args.peak_users:,} users)")
-    print(f"fluid sweep: {len(fluid.times)} samples in "
-          f"{fluid.elapsed:.2f}s wall")
-    print(f"users      : {sparkline(fluid.populations)}")
-    print(f"throughput : {sparkline(fluid.throughput)}  "
-          f"peak {float(fluid.throughput.max()):,.0f} req/s")
-    print(f"response   : {sparkline(fluid.response_times * 1000)}  "
-          f"max {float(fluid.response_times.max()) * 1000:,.1f} ms")
-    print(f"requests served (trapezoid): "
-          f"{fluid.total_requests:,.0f}")
-    rows = [[name, f"{demand * 1000:.3f}",
-             f"{result.calibrated_visits.get(name, 1.0):.2f}"]
-            for name, demand in
-            sorted(result.calibrated_demands.items())]
-    print(ascii_table(["service", "demand [ms]", "visits"], rows,
-                      title="calibrated from the DES head"))
     return 0
 
 
@@ -884,44 +835,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(default: CPU count)")
     bench.add_argument("--no-parallel", action="store_true",
                        help="skip the parallel fan-out benchmark")
-    bench.add_argument("--no-scale-sweep", action="store_true",
-                       help="skip the 10k-1M user scale sweep "
-                            "(heap timer churn, DES point, fluid "
-                            "diurnal day)")
     bench.add_argument("--output", default=None, metavar="PATH",
                        help="also write the JSON report here "
                             "(e.g. benchmarks/results/"
                             "BENCH_kernel.json)")
-
-    hybrid = sub.add_parser(
-        "hybrid",
-        help="hybrid fluid/DES: simulate a short head for calibration, "
-             "sweep the rest of the trace analytically (a million-user "
-             "day in seconds)")
-    hybrid.add_argument("--scenario", choices=sorted(SCENARIOS),
-                        default="cart")
-    hybrid.add_argument("--trace",
-                        choices=TRACE_NAMES + ("diurnal",),
-                        default="diurnal")
-    hybrid.add_argument("--duration", type=float, default=86400.0,
-                        help="target trace horizon in seconds")
-    hybrid.add_argument("--peak-users", type=int, default=1_000_000)
-    hybrid.add_argument("--min-users", type=int, default=50_000)
-    hybrid.add_argument("--des-window", type=float, default=60.0,
-                        help="simulated seconds of DES head used to "
-                             "calibrate the fluid model")
-    hybrid.add_argument("--interval", type=float, default=60.0,
-                        help="fluid sweep sampling interval")
-    hybrid.add_argument("--calibration-users", type=int, default=80,
-                        help="flat population for the DES head")
-    hybrid.add_argument("--controller",
-                        choices=("sora", "conscale", "none"),
-                        default="none")
-    hybrid.add_argument("--autoscaler",
-                        choices=("firm", "vpa", "hpa", "none"),
-                        default="none")
-    hybrid.add_argument("--sla", type=float, default=0.4)
-    hybrid.add_argument("--seed", type=int, default=42)
 
     obs = sub.add_parser(
         "obs",
@@ -1273,8 +1190,6 @@ def main(argv: list[str] | None = None) -> int:
         return cmd_compare(args)
     if args.command == "bench":
         return cmd_bench(args)
-    if args.command == "hybrid":
-        return cmd_hybrid(args)
     if args.command == "obs":
         if args.obs_command == "report":
             return cmd_obs_report(args)

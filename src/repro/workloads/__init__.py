@@ -7,7 +7,6 @@ from repro.workloads.traces import (
     all_traces,
     big_spike,
     build_trace,
-    diurnal,
     dual_phase,
     large_variation,
     quick_varying,
@@ -23,7 +22,6 @@ __all__ = [
     "all_traces",
     "big_spike",
     "build_trace",
-    "diurnal",
     "dual_phase",
     "large_variation",
     "quick_varying",

@@ -167,27 +167,6 @@ def steep_tri_phase(duration: float = 720.0, peak_users: int = 350,
                          min_users, shape)
 
 
-def diurnal(duration: float = 86400.0, peak_users: int = 1_000_000,
-            min_users: int = 50_000) -> WorkloadTrace:
-    """A 24-hour day/night cycle: a smooth cosine trough in the small
-    hours rising to an evening peak, with a small lunchtime shoulder.
-
-    This is not one of the paper's six traces — it is the fleet-scale
-    workload for the hybrid fluid/DES mode (see ``repro.sim.fluid``),
-    where a million-user day is swept analytically in seconds. The
-    defaults (24 h, 1M peak) match the scale-sweep benchmark.
-    """
-
-    def shape(u: float) -> float:
-        base = 0.5 * (1.0 - math.cos(2 * math.pi * (u - 0.17)))
-        shoulder = 0.08 * math.exp(-((u - 0.52) ** 2) / (2 * 0.04 ** 2))
-        return min(1.0, base + shoulder)
-
-    _check(duration, peak_users, min_users)
-    return WorkloadTrace("diurnal", duration, peak_users, min_users,
-                         shape)
-
-
 _BUILDERS: dict[str, _t.Callable[..., WorkloadTrace]] = {
     "large_variation": large_variation,
     "quick_varying": quick_varying,
@@ -195,13 +174,12 @@ _BUILDERS: dict[str, _t.Callable[..., WorkloadTrace]] = {
     "big_spike": big_spike,
     "dual_phase": dual_phase,
     "steep_tri_phase": steep_tri_phase,
-    "diurnal": diurnal,
 }
 
 
 def build_trace(name: str, duration: float = 720.0, peak_users: int = 350,
                 min_users: int = 60) -> WorkloadTrace:
-    """Build a trace by name (the six paper traces, plus ``diurnal``)."""
+    """Build one of the six paper traces by name."""
     try:
         builder = _BUILDERS[name]
     except KeyError:

@@ -1,8 +1,9 @@
 """Multi-worker speedup gate plus shared-pool reuse semantics.
 
-The speedup assertions only run on hosts with ≥4 cores (CI's perf
-job); everywhere else they skip rather than pretend a 1-core container
-parallelized anything. The pool-reuse tests run everywhere — they are
+The speedup assertions only run on hosts with ≥``SPEEDUP_GATE_CORES``
+cores (CI's perf job), the same count below which the fan-out report
+sets ``speedup_gate`` False; everywhere else they skip rather than
+pretend a small container parallelized anything. The pool-reuse tests run everywhere — they are
 about executor lifecycle, not wall clock.
 """
 
@@ -11,9 +12,13 @@ import os
 import pytest
 
 from repro.experiments import parallel as par
-from repro.experiments.bench import bench_parallel_fanout, fanout_goodput
+from repro.experiments.bench import (
+    SPEEDUP_GATE_CORES,
+    bench_parallel_fanout,
+    fanout_goodput,
+)
 
-MULTI_CORE = (os.cpu_count() or 1) >= 4
+MULTI_CORE = (os.cpu_count() or 1) >= SPEEDUP_GATE_CORES
 
 
 class TestPoolReuse:
@@ -76,6 +81,19 @@ class TestFanoutReporting:
         assert report["speedup_gate"] is False
         assert report["identical_results"] is True
 
+    def test_two_core_report_leaves_the_gate_off(self, monkeypatch):
+        """Two workers run, but 2 cores cannot hold the 1.5x gate."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        try:
+            report = bench_parallel_fanout(grid_points=2, requests=20,
+                                           max_workers=2)
+        finally:
+            par.shutdown_pool()
+        assert report["workers"] == 2
+        assert report["cores"] == 2
+        assert report["speedup_gate"] is False
+        assert report["identical_results"] is True
+
     def test_cores_recorded(self):
         report = bench_parallel_fanout(grid_points=2, requests=20,
                                        max_workers=1)
@@ -83,7 +101,8 @@ class TestFanoutReporting:
 
 
 @pytest.mark.skipif(not MULTI_CORE,
-                    reason="speedup gate needs >= 4 cores")
+                    reason=f"speedup gate needs >= {SPEEDUP_GATE_CORES} "
+                           "cores")
 class TestSpeedupGate:
     def test_fanout_speedup_over_1_5x(self):
         """The CI gate: ≥2 workers and >1.5x wall-clock speedup on the

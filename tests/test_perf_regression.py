@@ -1,14 +1,16 @@
 """Perf-regression smoke test against the committed kernel baseline.
 
-Runs the kernel bench suite at a small scale and checks each
-throughput metric against ``benchmarks/baselines/
-BENCH_kernel_baseline.json``. The tolerance is deliberately generous
-(default 2x, ``REPRO_PERF_TOLERANCE``): shared CI machines are noisy
-and this gate exists to catch order-of-magnitude regressions — an
-accidentally quadratic event loop, a lost fast path — not 10% drift.
-Measured run-to-run ratios on a contended 1-core container span
-0.59x–1.10x of the committed baseline, so 2x is the tightest setting
-that holds without flaking; revisit if CI moves to dedicated runners.
+Runs the kernel bench suite at a small scale and checks each gated
+throughput against ``benchmarks/baselines/BENCH_kernel_baseline.json``.
+Raw events/s follow the host: on a 2-vCPU host with three busy-loop
+processes beside the run, the gated tiers fell to 0.33x-0.82x of the
+committed baseline, recorded on the same host when quiet. So the gate
+compares each tier's rate in units of the same report's ``reference``
+tier (a fixed pure-Python heap loop that imports no simulator code)
+against the baseline's same ratio; under that load those ratios read
+0.54x-1.69x of the baseline's (5 runs). The 2x tolerance is there to
+catch order-of-magnitude regressions (an accidentally quadratic event
+loop, a lost fast path), not 10% drift.
 
 Refresh the baseline after intentional kernel changes with::
 
@@ -17,7 +19,6 @@ Refresh the baseline after intentional kernel changes with::
 """
 
 import json
-import os
 import pathlib
 
 import pytest
@@ -28,8 +29,9 @@ BASELINE_PATH = (pathlib.Path(__file__).resolve().parent.parent /
                  "benchmarks" / "baselines" /
                  "BENCH_kernel_baseline.json")
 
-#: Allowed slowdown factor vs the committed baseline.
-TOLERANCE = float(os.environ.get("REPRO_PERF_TOLERANCE", "2.0"))
+#: Allowed slowdown factor, relative to the reference loop, vs the
+#: committed baseline.
+TOLERANCE = 2.0
 
 #: (benchmark, throughput field) pairs the gate holds.
 GATES = [
@@ -38,6 +40,28 @@ GATES = [
     ("pool_handoff", "grants_per_sec"),
     ("sock_shop", "requests_per_sec"),
 ]
+
+
+def relative_rate(report: dict, bench: str, field: str) -> float:
+    """``bench.field`` in units of the report's own reference loop."""
+    stats = report["benchmarks"]
+    return stats[bench][field] / stats["reference"]["ops_per_sec"]
+
+
+def regression(baseline: dict, current: dict, bench: str,
+               field: str) -> str | None:
+    """Why ``current`` fails the gate on ``bench.field``, or ``None``."""
+    expected = relative_rate(baseline, bench, field)
+    measured = relative_rate(current, bench, field)
+    floor = expected / TOLERANCE
+    if measured >= floor:
+        return None
+    raw = current["benchmarks"][bench][field]
+    return (f"{bench}.{field} regressed: {measured:.3f} per reference "
+            f"op ({raw:,.0f}/s) vs baseline {expected:.3f} (floor "
+            f"{floor:.3f} at {TOLERANCE:g}x tolerance). If the slowdown "
+            f"is intentional, refresh {BASELINE_PATH.name} via "
+            f"`repro bench --output`.")
 
 
 @pytest.fixture(scope="module")
@@ -65,15 +89,34 @@ def current():
 
 @pytest.mark.parametrize("bench,field", GATES)
 def test_throughput_no_regression(baseline, current, bench, field):
-    reference = baseline["benchmarks"][bench][field]
-    measured = current["benchmarks"][bench][field]
-    assert measured > 0
-    floor = reference / TOLERANCE
-    assert measured >= floor, (
-        f"{bench}.{field} regressed: {measured:,.0f}/s vs baseline "
-        f"{reference:,.0f}/s (floor {floor:,.0f}/s at "
-        f"{TOLERANCE:g}x tolerance). If the slowdown is intentional, "
-        f"refresh {BASELINE_PATH.name} via `repro bench --output`.")
+    assert current["benchmarks"][bench][field] > 0
+    failure = regression(baseline, current, bench, field)
+    assert failure is None, failure
+
+
+def synthetic_report(reference: float, rates: dict[str, float]) -> dict:
+    benchmarks = {"reference": {"ops_per_sec": reference}}
+    for bench, field in GATES:
+        benchmarks[bench] = {field: rates.get(bench, 1_000_000.0)}
+    return {"schema": SCHEMA, "benchmarks": benchmarks}
+
+
+def test_gate_fails_a_tier_slower_relative_to_the_reference():
+    base = synthetic_report(2_000_000.0, {})
+    slow = synthetic_report(2_000_000.0,
+                            {"timeout_chain": 1_000_000.0 / 2.5})
+    assert regression(base, slow, "timeout_chain",
+                      "events_per_sec") is not None
+    assert regression(base, slow, "cpu_scheduler",
+                      "events_per_sec") is None
+
+
+def test_gate_passes_a_uniformly_slower_host():
+    base = synthetic_report(2_000_000.0, {})
+    slow_host = synthetic_report(
+        2_000_000.0 / 3, {bench: 1_000_000.0 / 3 for bench, _ in GATES})
+    for bench, field in GATES:
+        assert regression(base, slow_host, bench, field) is None
 
 
 #: Committed full-scale bench report (the trends seed) — where the
