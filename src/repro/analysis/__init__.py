@@ -4,6 +4,7 @@ from repro.analysis.changepoint import ChangePoint, PageHinkley
 from repro.analysis.correlation import pearson
 from repro.analysis.kneedle import (
     KneeBatch,
+    KneeGrid,
     KneeResult,
     find_knee,
     find_knees,
@@ -27,6 +28,7 @@ from repro.analysis.smoothing import (
 __all__ = [
     "ChangePoint",
     "KneeBatch",
+    "KneeGrid",
     "KneeResult",
     "PageHinkley",
     "MvaResult",

@@ -19,9 +19,13 @@ The sensitivity ``S`` trades early detection against false positives
 
 :func:`find_knees` runs the algorithm over many curves at once (the
 smoothed curves of a control round, each over its own grid) with
-whole-array operations: step 4 forward-fills, for every point, the
-local maximum that owns its segment. :func:`find_knee` is its one-row
-case.
+whole-array operations: step 4 takes the lowest point of the segment
+each local maximum owns (up to the next one in its row) in one
+segmented reduction over the batch. :func:`find_knee` is its one-row
+case. Steps 1–2 for ``x`` do not depend on the curve, so a
+:class:`KneeGrid` computes them once for every set of curves over the
+same abscissas (the fits of each degree of one SCG search);
+:func:`find_knees` builds one per call.
 """
 
 from __future__ import annotations
@@ -64,24 +68,12 @@ class KneeResult:
         return self.found
 
 
-def _transform(x_n: np.ndarray, y_n: np.ndarray, curve: Curve,
-               direction: Direction) -> tuple[np.ndarray, np.ndarray]:
-    """Reflect axes so that the curves (rows of ``x_n`` / ``y_n``) are
-    concave increasing."""
-    if curve == "concave" and direction == "increasing":
-        return x_n, y_n
-    if curve == "concave" and direction == "decreasing":
-        return (1.0 - x_n)[..., ::-1], y_n[..., ::-1]
-    if curve == "convex" and direction == "increasing":
-        return (1.0 - x_n)[..., ::-1], (1.0 - y_n)[..., ::-1]
-    if curve == "convex" and direction == "decreasing":
-        return x_n, 1.0 - y_n
-    raise ValueError(f"invalid curve/direction: {curve}/{direction}")
-
-
 #: Transforms that reverse the index order (so transformed index ``t``
 #: is original index ``n - 1 - t``).
 _REFLECTED = {("concave", "decreasing"), ("convex", "increasing")}
+
+_SHAPES = {(curve, direction) for curve in ("concave", "convex")
+           for direction in ("increasing", "decreasing")}
 
 
 def _not_found() -> KneeResult:
@@ -127,20 +119,180 @@ class KneeBatch:
         rows = np.arange(self.found.size)
         return np.where(self.found, self.y[rows, self.index], np.nan)
 
+    def rows(self, rows: _t.Sequence[int] | np.ndarray
+             ) -> list[KneeResult]:
+        """The :class:`KneeResult` of each curve in ``rows``, in that
+        order, built from one array-to-list conversion per field."""
+        rows = np.asarray(rows, dtype=np.intp)
+        found = self.found[rows].tolist()
+        index = self.index[rows]
+        knee_x = self.x[rows, index].tolist()
+        knee_y = self.y[rows, index].tolist()
+        prominence = self.prominence[rows].tolist()
+        # Confirmed knees of every row, in row then x order.
+        slots, columns = np.nonzero(self.confirmed[rows])
+        confirmed_x = self.x[rows[slots], columns].tolist()
+        ends = np.cumsum(np.bincount(slots, minlength=rows.size)).tolist()
+        results = []
+        start = 0
+        for slot, row in enumerate(rows.tolist()):
+            end = ends[slot]
+            if found[slot]:
+                results.append(KneeResult(
+                    found=True, knee_x=knee_x[slot], knee_y=knee_y[slot],
+                    all_knee_x=tuple(confirmed_x[start:end]),
+                    difference=self.difference[row],
+                    prominence=prominence[slot]))
+            else:
+                results.append(_not_found())
+            start = end
+        return results
+
     def row(self, row: int) -> KneeResult:
-        """The :class:`KneeResult` of one curve."""
-        if not self.found[row]:
-            return _not_found()
-        chosen = int(self.index[row])
-        return KneeResult(
-            found=True,
-            knee_x=float(self.x[row, chosen]),
-            knee_y=float(self.y[row, chosen]),
-            all_knee_x=tuple(float(value) for value
-                             in self.x[row, self.confirmed[row]]),
-            difference=self.difference[row],
-            prominence=float(self.prominence[row]),
-        )
+        """The :class:`KneeResult` of one curve: the one-row case of
+        :meth:`rows`."""
+        return self.rows([row])[0]
+
+
+class KneeGrid:
+    """Kneedle's ``x`` side for curves over a fixed batch of abscissas.
+
+    Everything Kneedle derives from ``x`` alone (the sortedness check,
+    each row's normalization and transform, and the mean spacing of
+    the transformed abscissa) is computed once here; :meth:`knees` then
+    runs the ``y`` side for any set of curves over the same rows of
+    ``x``, such as the fits of every degree of one SCG search.
+
+    Args:
+        x: one ascending abscissa per row.
+        curve / direction: curve shape, as in :func:`find_knee`.
+    """
+
+    def __init__(self, x: np.ndarray, *, curve: Curve = "concave",
+                 direction: Direction = "increasing") -> None:
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2:
+            raise ValueError(f"x must be 2-D, got shape {x.shape}")
+        if (curve, direction) not in _SHAPES:
+            raise ValueError(f"invalid curve/direction: {curve}/{direction}")
+        self.x = x
+        self.curve = curve
+        self.reflected = (curve, direction) in _REFLECTED
+        if x.shape[1] < 3:
+            return
+        if np.any(np.diff(x, axis=1) < 0):
+            raise ValueError("x must be sorted ascending")
+        x_min = x.min(axis=1)
+        x_span = x.max(axis=1) - x_min
+        # A flat row stays all-NaN below and so confirms no knee.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_n = (x - x_min[:, None]) / x_span[:, None]
+        # Reflect so that the curves are increasing.
+        self._x_t = (1.0 - x_n)[:, ::-1] if self.reflected else x_n
+        self._mean_spacing = np.mean(np.abs(np.diff(self._x_t, axis=1)),
+                                     axis=1)
+
+    def knees(self, ys: np.ndarray, rows: np.ndarray | None = None, *,
+              sensitivity: float = 1.0,
+              select: _t.Literal["first", "prominent"] = "first"
+              ) -> KneeBatch:
+        """Detect the knee of every row of ``ys`` over the matching row
+        of ``x``: row ``i`` of ``ys`` pairs with row ``rows[i]`` of
+        ``x`` (default: ``ys`` has one row per row of ``x``).
+
+        Every step is elementwise or a reduction within a row, so each
+        row's result is bit-identical to running it alone.
+        """
+        ys = np.asarray(ys, dtype=float)
+        chosen = slice(None) if rows is None else rows
+        x = self.x[chosen]
+        if ys.shape != x.shape:
+            raise ValueError(f"shape mismatch: {x.shape} vs {ys.shape}")
+        if sensitivity < 0:
+            raise ValueError(f"sensitivity must be >= 0, got {sensitivity}")
+        count, size = ys.shape
+        found = np.zeros(count, dtype=bool)
+        index = np.zeros(count, dtype=np.intp)
+        confirmed = np.zeros(ys.shape, dtype=bool)
+        prominence = np.full(count, np.nan)
+        if size < 3:
+            return KneeBatch(x=x, y=ys, found=found, index=index,
+                             confirmed=confirmed,
+                             difference=np.full(ys.shape, np.nan),
+                             prominence=prominence)
+
+        y_min = ys.min(axis=1)
+        y_span = ys.max(axis=1) - y_min
+        # A flat row (in x or in y) stays all-NaN below and so confirms
+        # no knee.
+        y_n = ys - y_min[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            y_n /= y_span[:, None]
+        # Transform so that the curves are concave increasing.
+        if self.curve == "convex":
+            np.subtract(1.0, y_n, out=y_n)
+        y_t = y_n[:, ::-1] if self.reflected else y_n
+        difference = y_t - self._x_t[chosen]
+        mean_spacing = self._mean_spacing[chosen]
+        del y_n, y_t
+        batch = KneeBatch(x=x, y=ys, found=found, index=index,
+                          confirmed=confirmed, difference=difference,
+                          prominence=prominence)
+
+        # Local maxima of each difference curve (candidate knees), in
+        # row then column order.
+        inner = difference[:, 1:-1]
+        is_max = inner > difference[:, :-2]
+        is_max &= inner >= difference[:, 2:]
+        peak_rows, peak_cols = np.nonzero(is_max)
+        del is_max
+        peak_cols += 1
+        # A maximum is confirmed when the curve drops below its
+        # threshold (its difference value less ``S`` mean spacings)
+        # before the next maximum of its row or the row's end: the
+        # lowest point of that segment (NaN points never drop) lies
+        # below the threshold. The segments are cut at every maximum
+        # and at the end of every row holding one (never a maximum's
+        # position: column 0 holds none).
+        starts = peak_rows * size + peak_cols
+        last = np.ones(starts.size, dtype=bool)
+        last[:-1] = peak_rows[1:] != peak_rows[:-1]
+        ends = (peak_rows[last] + 1) * size
+        bounds = np.sort(np.concatenate(
+            (starts, ends[ends < difference.size])))
+        lows = (np.fmin.reduceat(difference.ravel(), bounds)
+                [np.searchsorted(bounds, starts)] if starts.size
+                else starts)
+        threshold = (difference[peak_rows, peak_cols] -
+                     sensitivity * mean_spacing[peak_rows])
+        dropped = lows < threshold
+        knees = np.zeros(ys.shape, dtype=bool)
+        knees[peak_rows[dropped], peak_cols[dropped]] = True
+        found[:] = knees.any(axis=1)
+
+        # A terminal local maximum with no room to decay still marks the
+        # curve's flattening when it is the global maximum (offline use).
+        last_rows, last_cols = peak_rows[last], peak_cols[last]
+        room = ~found[last_rows] & (last_cols >= size - 2)
+        last_rows, last_cols = last_rows[room], last_cols[room]
+        terminal = (difference[last_rows, last_cols] ==
+                    difference[last_rows].max(axis=1))
+        knees[last_rows[terminal], last_cols[terminal]] = True
+        found[last_rows[terminal]] = True
+
+        reflected = self.reflected
+        confirmed[:] = knees[:, ::-1] if reflected else knees
+        if select == "prominent":
+            chosen_t = np.argmax(np.where(knees, difference, -np.inf),
+                                 axis=1)
+            index[:] = size - 1 - chosen_t if reflected else chosen_t
+        else:
+            index[:] = np.argmax(confirmed, axis=1)
+            chosen_t = size - 1 - index if reflected else index
+        chosen_t = np.where(found, chosen_t, 0)
+        index[~found] = 0
+        prominence[found] = difference[found, chosen_t[found]]
+        return batch
 
 
 def find_knees(x: _t.Sequence[float] | np.ndarray,
@@ -155,90 +307,19 @@ def find_knees(x: _t.Sequence[float] | np.ndarray,
 
     Arguments are those of :func:`find_knee`, with one curve per row
     of the 2-D ``ys``; ``x`` is either one abscissa shared by every
-    row or one per row. Every step is elementwise or a reduction
-    within a row, so each row's result is bit-identical to running it
+    row or one per row. Runs :meth:`KneeGrid.knees` on a grid built
+    for this call, so each row's result is bit-identical to running it
     alone.
     """
     ys = np.asarray(ys, dtype=float)
     x = np.asarray(x, dtype=float)
     if ys.ndim != 2 or x.shape not in (ys.shape, ys.shape[1:]):
         raise ValueError(f"shape mismatch: {x.shape} vs {ys.shape}")
-    x = np.broadcast_to(x, ys.shape)
     if sensitivity < 0:
         raise ValueError(f"sensitivity must be >= 0, got {sensitivity}")
-    rows, size = ys.shape
-    found = np.zeros(rows, dtype=bool)
-    index = np.zeros(rows, dtype=np.intp)
-    confirmed = np.zeros(ys.shape, dtype=bool)
-    difference = np.full(ys.shape, np.nan)
-    prominence = np.full(rows, np.nan)
-    batch = KneeBatch(x=x, y=ys, found=found, index=index,
-                      confirmed=confirmed, difference=difference,
-                      prominence=prominence)
-    if size < 3:
-        return batch
-    if np.any(np.diff(x, axis=1) < 0):
-        raise ValueError("x must be sorted ascending")
-
-    x_min = x.min(axis=1)
-    x_span = x.max(axis=1) - x_min
-    y_min = ys.min(axis=1)
-    y_span = ys.max(axis=1) - y_min
-    # A flat row (in x or in y) stays all-NaN below and so confirms no
-    # knee.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        x_n = (x - x_min[:, None]) / x_span[:, None]
-        y_n = (ys - y_min[:, None]) / y_span[:, None]
-    x_t, y_t = _transform(x_n, y_n, curve, direction)
-    np.subtract(y_t, x_t, out=difference)
-    mean_spacing = np.mean(np.abs(np.diff(x_t, axis=1)), axis=1)
-    del x_n, y_n, x_t, y_t
-
-    # Local maxima of each difference curve (candidate knees).
-    is_max = np.zeros(ys.shape, dtype=bool)
-    is_max[:, 1:-1] = ((difference[:, 1:-1] > difference[:, :-2]) &
-                       (difference[:, 1:-1] >= difference[:, 2:]))
-    # A maximum is confirmed when the curve drops below its threshold
-    # (its difference value less ``S`` mean spacings) before the next
-    # maximum: forward-fill each point's owning maximum and compare
-    # the point with that maximum's threshold. A maximum never lies
-    # below its own threshold (S >= 0), so runs of dropped points never
-    # span a maximum, and marking the owner of each run's first point
-    # marks every confirmed maximum.
-    owner = np.where(is_max, np.arange(size), -1)
-    del is_max
-    np.maximum.accumulate(owner, axis=1, out=owner)
-    owner_threshold = difference.take(
-        np.maximum(owner, 0) + (size * np.arange(rows))[:, None])
-    owner_threshold -= sensitivity * mean_spacing[:, None]
-    drops = (owner >= 0) & (difference < owner_threshold)
-    del owner_threshold
-    drops[:, 1:] &= ~drops[:, :-1]
-    drop_rows, drop_cols = np.nonzero(drops)
-    knees = np.zeros(ys.shape, dtype=bool)
-    knees[drop_rows, owner[drop_rows, drop_cols]] = True
-
-    # A terminal local maximum with no room to decay still marks the
-    # curve's flattening when it is the global maximum (offline use).
-    last = owner[:, -1]
-    terminal = (~knees.any(axis=1) & (last >= size - 2) &
-                (difference[np.arange(rows), np.maximum(last, 0)] ==
-                 difference.max(axis=1)))
-    knees[terminal, last[terminal]] = True
-
-    found[:] = knees.any(axis=1)
-    reflected = (curve, direction) in _REFLECTED
-    confirmed[:] = knees[:, ::-1] if reflected else knees
-    if select == "prominent":
-        chosen_t = np.argmax(np.where(knees, difference, -np.inf), axis=1)
-        index[:] = size - 1 - chosen_t if reflected else chosen_t
-    else:
-        index[:] = np.argmax(confirmed, axis=1)
-        chosen_t = size - 1 - index if reflected else index
-    chosen_t = np.where(found, chosen_t, 0)
-    index[~found] = 0
-    prominence[found] = difference[found, chosen_t[found]]
-    return batch
+    grid = KneeGrid(np.broadcast_to(x, ys.shape), curve=curve,
+                    direction=direction)
+    return grid.knees(ys, sensitivity=sensitivity, select=select)
 
 
 def find_knee(x: _t.Sequence[float] | np.ndarray,

@@ -93,12 +93,19 @@ class PolynomialFits:
     y: np.ndarray
     rmse: np.ndarray
 
+    def rows(self, rows: _t.Sequence[int] | np.ndarray
+             ) -> list[PolynomialFit]:
+        """The fit of each series in ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return [PolynomialFit(degree=self.degree,
+                              coefficients=self.coefficients[row],
+                              x=self.x[row], y=self.y[row], rmse=rmse)
+                for row, rmse in zip(rows.tolist(),
+                                     self.rmse[rows].tolist())]
+
     def row(self, index: int) -> PolynomialFit:
-        """The fit of one series."""
-        return PolynomialFit(degree=self.degree,
-                             coefficients=self.coefficients[index],
-                             x=self.x[index], y=self.y[index],
-                             rmse=float(self.rmse[index]))
+        """The fit of one series: the one-row case of :meth:`rows`."""
+        return self.rows([index])[0]
 
 
 def _polyval(coefficients: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -167,6 +174,11 @@ class PolynomialFitter:
         self._points = np.concatenate(
             [x, np.linspace(x.min(axis=1), x.max(axis=1), grid_points,
                             axis=1)], axis=1)
+
+    @property
+    def grid(self) -> np.ndarray:
+        """The dense grid of every row, on which fits are evaluated."""
+        return self._points[:, self._ys.shape[1]:]
 
     def fit(self, degree: int,
             rows: np.ndarray | None = None) -> PolynomialFits:

@@ -22,12 +22,15 @@ levels (each window keeps its own levels);
 from __future__ import annotations
 
 import logging
+import os
+import threading
 import typing as _t
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.kneedle import KneeResult, find_knees
+from repro.analysis.kneedle import KneeGrid, KneeResult
 from repro.analysis.smoothing import (
     PolynomialFit,
     PolynomialFitter,
@@ -118,6 +121,71 @@ class ConcurrencyEstimate:
     fit_r2: float = float("nan")
 
 
+#: Fewest windows per row block: a stack of fewer than twice this many
+#: windows (one window, or a one-service round) runs serially on the
+#: calling thread, and never starts the thread pool.
+MIN_BLOCK_ROWS = 128
+
+_pool: ThreadPoolExecutor | None = None
+_pool_pid = 0
+_pool_threads = 0
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    """The number of CPUs this process may run on (its affinity mask,
+    so ``taskset`` confines estimation)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+def _executor(threads: int) -> ThreadPoolExecutor:
+    """The module's estimation pool, with at least ``threads`` threads.
+
+    Created on first use, and created afresh in a forked child: a
+    parent's pool threads do not exist there.
+    """
+    global _pool, _pool_pid, _pool_threads
+    with _pool_lock:
+        if (_pool is None or _pool_pid != os.getpid()
+                or _pool_threads < threads):
+            # A replaced pool is not shut down: a caller on another
+            # thread may still be submitting to it. Its idle threads
+            # exit once it is unreferenced.
+            _pool = ThreadPoolExecutor(threads,
+                                       thread_name_prefix="repro-scg")
+            _pool_pid, _pool_threads = os.getpid(), threads
+        return _pool
+
+
+_T = _t.TypeVar("_T")
+
+
+def _run_blocks(search: _t.Callable[[np.ndarray, np.ndarray], list[_T]],
+                blocks: list[tuple[np.ndarray, np.ndarray]]) -> list[_T]:
+    """``search`` over every block, concatenated in block order.
+
+    The calling thread runs the first block and the pool the others,
+    all at once, each under the caller's floating-point error state.
+    """
+    if len(blocks) == 1:
+        return search(*blocks[0])
+    errors = np.geterr()
+
+    def run(levels: np.ndarray, rates: np.ndarray) -> list[_T]:
+        with np.errstate(**errors):
+            return search(levels, rates)
+
+    pool = _executor(len(blocks) - 1)
+    futures = [pool.submit(run, *block) for block in blocks[1:]]
+    results = search(*blocks[0])
+    for future in futures:
+        results += future.result()
+    return results
+
+
 class ScatterCurveModel:
     """Shared estimation machinery over ``<Q, rate>`` pairs."""
 
@@ -126,6 +194,9 @@ class ScatterCurveModel:
 
     def __init__(self, config: ScatterModelConfig | None = None) -> None:
         self.config = config or ScatterModelConfig()
+        #: The most row blocks one stack of the last
+        #: :meth:`estimate_many` call ran at once (1: serial).
+        self.last_workers = 1
 
     def estimate(self, concurrency: np.ndarray, rate: np.ndarray,
                  threshold: float | None = None
@@ -147,9 +218,11 @@ class ScatterCurveModel:
         All windows are quantized and aggregated in one pass over
         their concatenated samples; windows with the same number of
         aggregated levels are then stacked and share one fit and one
-        Kneedle pass per degree, each over its own levels. A window's
-        estimate does not depend on the other windows in the call, bit
-        for bit.
+        Kneedle pass per degree, each over its own levels. A stack of
+        at least ``2 * MIN_BLOCK_ROWS`` windows is cut into contiguous
+        row blocks that run at once, one per CPU the process may run
+        on. A window's estimate does not depend on the other windows in
+        the call or on the blocks, bit for bit.
 
         Args:
             windows: ``(concurrency, rate)`` sample pairs per window.
@@ -168,6 +241,7 @@ class ScatterCurveModel:
         config = self.config
         count = len(windows)
         results: list[ConcurrencyEstimate | None] = [None] * count
+        self.last_workers = 1
         if count == 0:
             return results
         concurrency_parts, rate_parts = [], []
@@ -199,16 +273,27 @@ class ScatterCurveModel:
         usable = ((sizes >= config.min_distinct) &
                   (np.minimum(config.max_degree, sizes - 2) >=
                    config.min_degree))
+        workers = _worker_count()
         for size in np.unique(sizes[usable]):
             positions = np.flatnonzero(usable & (sizes == size))
             rows = offsets[positions, None] + np.arange(size)
             levels = all_levels[rows]
             rates = all_rates[rows]
-            gp_variance = np.var(rates, axis=1)
-            for row, method, optimal, knee, fit in self._search(
-                    levels, rates):
-                position = int(positions[row])
-                variance = float(gp_variance[row])
+            blocks = min(workers, -(-positions.size // MIN_BLOCK_ROWS))
+            self.last_workers = max(self.last_workers, blocks)
+            bounds = [positions.size * block // blocks
+                      for block in range(blocks + 1)]
+            searched = _run_blocks(self._search, [
+                (levels[begin:end], rates[begin:end])
+                for begin, end in zip(bounds, bounds[1:])])
+            gp_variance = np.var(rates, axis=1).tolist()
+            max_concurrency = levels[:, -1].tolist()
+            for row, (position, outcome) in enumerate(
+                    zip(positions.tolist(), searched)):
+                if outcome is None:
+                    continue
+                method, optimal, knee, fit = outcome
+                variance = gp_variance[row]
                 if variance == 0.0:
                     fit_r2 = 1.0 if fit.rmse == 0.0 else 0.0
                 else:
@@ -217,17 +302,32 @@ class ScatterCurveModel:
                     optimal_concurrency=optimal, method=method, knee=knee,
                     fit=fit, samples=int(samples[position]),
                     threshold=thresholds[position],
-                    max_concurrency=float(levels[row, -1]),
-                    fit_r2=fit_r2)
+                    max_concurrency=max_concurrency[row], fit_r2=fit_r2)
+        if logger.isEnabledFor(logging.DEBUG):
+            for position, estimate in enumerate(results):
+                if estimate is not None:
+                    self._log(estimate, int(sizes[position]))
         return results
 
+    def _log(self, estimate: ConcurrencyEstimate, levels: int) -> None:
+        if estimate.method == "knee":
+            logger.debug(
+                "%s: knee at Q=%.2f (rate=%.2f) with degree-%d fit over "
+                "%d levels", self.name, estimate.knee.knee_x,
+                estimate.knee.knee_y, estimate.fit.degree, levels)
+        else:
+            logger.debug(
+                "%s: no confirmed knee across degrees %d-%d; argmax "
+                "fallback Q=%d", self.name, self.config.min_degree,
+                estimate.fit.degree, estimate.optimal_concurrency)
+
     def _search(self, levels: np.ndarray, rates: np.ndarray
-                ) -> _t.Iterator[tuple[int, EstimateMethod, int,
-                                       KneeResult, PolynomialFit]]:
+                ) -> list[tuple[EstimateMethod, int, KneeResult,
+                                PolynomialFit] | None]:
         """Raise the polynomial degree over the rows of ``rates`` (mean
         rates at the ascending levels in the same row of ``levels``)
-        until Kneedle accepts a knee; yield ``(row, method, optimal,
-        knee, fit)`` per row estimated.
+        until Kneedle accepts a knee; return ``(method, optimal, knee,
+        fit)`` per row, ``None`` for a row left unestimated.
 
         A row leaves the search at the first degree whose knee passes
         the quality gate. Rows left after the highest degree fall back
@@ -236,39 +336,40 @@ class ScatterCurveModel:
         config = self.config
         max_degree = min(config.max_degree, levels.shape[1] - 2)
         fitter = PolynomialFitter(levels, rates, max_degree)
+        # Every degree's curves lie on the same dense grid.
+        grid = KneeGrid(fitter.grid)
+        outcomes: list[tuple[EstimateMethod, int, KneeResult,
+                             PolynomialFit] | None] = [None] * rates.shape[0]
         active = np.arange(rates.shape[0])
         for degree in range(config.min_degree, max_degree + 1):
-            fits = fitter.fit(degree, active)
-            knees = find_knees(fits.x, fits.y,
+            # While every row is still searching, skip the row gathers.
+            rows = None if active.size == rates.shape[0] else active
+            fits = fitter.fit(degree, rows)
+            knees = grid.knees(fits.y, rows,
                                sensitivity=config.sensitivity)
             accepted = (knees.found & (knees.knee_x > 0) &
                         (knees.knee_y >= config.knee_quality *
                          fits.y.max(axis=1)))
-            for index in np.flatnonzero(accepted):
-                knee = knees.row(index)
-                logger.debug(
-                    "%s: knee at Q=%.2f (rate=%.2f) with degree-%d fit "
-                    "over %d levels", self.name, knee.knee_x, knee.knee_y,
-                    degree, levels.shape[1])
-                yield (int(active[index]), "knee",
-                       max(1, int(round(knee.knee_x))), knee,
-                       fits.row(index))
+            chosen = np.flatnonzero(accepted)
+            for row, knee, fit in zip(active[chosen].tolist(),
+                                      knees.rows(chosen),
+                                      fits.rows(chosen)):
+                outcomes[row] = ("knee", max(1, int(round(knee.knee_x))),
+                                 knee, fit)
             if degree == max_degree and config.allow_argmax_fallback:
-                best = fits.x[np.arange(active.size),
-                              np.argmax(fits.y, axis=1)]
-                for index in np.flatnonzero(~accepted):
-                    optimal = max(1, int(round(float(best[index]))))
-                    logger.debug(
-                        "%s: no confirmed knee across degrees %d-%d; "
-                        "argmax fallback Q=%d", self.name,
-                        config.min_degree, max_degree, optimal)
-                    yield (int(active[index]), "argmax", optimal,
-                           knees.row(index), fits.row(index))
+                chosen = np.flatnonzero(~accepted)
+                best = fits.x[chosen, np.argmax(fits.y[chosen], axis=1)]
+                for row, optimal, knee, fit in zip(
+                        active[chosen].tolist(), best.tolist(),
+                        knees.rows(chosen), fits.rows(chosen)):
+                    outcomes[row] = ("argmax",
+                                     max(1, int(round(optimal))), knee, fit)
             # Free this degree's curves before fitting the next one.
             del fits, knees
             active = active[~accepted]
             if active.size == 0:
-                return
+                break
+        return outcomes
 
 
 class SCGModel(ScatterCurveModel):

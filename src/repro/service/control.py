@@ -383,6 +383,10 @@ class ControlPlane:
                         for name, (concurrency, _rate), estimate
                         in zip(decided, windows, estimates))
                 self._observe_latency(timer.elapsed, len(decisions), now)
+                # Latency readings group by the parallelism they ran
+                # with.
+                self.obs.registry.gauge("service.estimate.workers").set(
+                    float(self.model.last_workers))
         with flight.phase("decision"):
             record = ControlRoundRecord(
                 time=now, controller=CONTROLLER_NAME, trigger=trigger,

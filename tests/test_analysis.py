@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.analysis import (
     aggregate_scatter,
     find_knee,
+    KneeGrid,
     PolynomialFitter,
     find_knees,
     fit_polynomial,
@@ -139,6 +140,23 @@ class TestPolynomialFit:
                     fit.y, np.polyval(np.polyfit(x[row], ys[row], degree),
                                       fit.x), rtol=1e-9)
 
+    def test_rows_equal_row_by_row(self):
+        rng = np.random.default_rng(7)
+        x = np.sort(rng.uniform(0.5, 40.0, (6, 15)), axis=1)
+        ys = 30 * x / (1 + x / 6) + rng.normal(0, 1, x.shape)
+        fits = PolynomialFitter(x, ys, max_degree=6).fit(5)
+        picked = [4, 0, 4, 2]
+        for fit, row in zip(fits.rows(np.array(picked)), picked):
+            alone = fits.row(row)
+            assert fit.degree == alone.degree == 5
+            np.testing.assert_array_equal(fit.coefficients,
+                                          alone.coefficients)
+            np.testing.assert_array_equal(fit.x, alone.x)
+            np.testing.assert_array_equal(fit.y, alone.y)
+            assert fit.rmse == alone.rmse
+            assert type(fit.rmse) is float
+        assert fits.rows([]) == []
+
     def test_fitter_rejects_bad_degrees(self):
         x = np.tile(np.arange(6.0), (2, 1))
         with pytest.raises(ValueError):
@@ -149,7 +167,71 @@ class TestPolynomialFit:
             PolynomialFitter(x, x, max_degree=3).fit(4)
 
 
+def reference_knee(x, y, curve, direction, sensitivity, select):
+    """Kneedle on one curve, point by point as the paper states it:
+    ``(found, knee index, confirmed indices, prominence)``."""
+    size = len(x)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_n = (x - x.min()) / (x.max() - x.min())
+        y_n = (y - y.min()) / (y.max() - y.min())
+    reflected = (curve, direction) in {("concave", "decreasing"),
+                                       ("convex", "increasing")}
+    if curve == "convex":
+        y_n = 1.0 - y_n
+    x_t = (1.0 - x_n)[::-1] if reflected else x_n
+    y_t = y_n[::-1] if reflected else y_n
+    d = y_t - x_t
+    threshold_drop = sensitivity * np.mean(np.abs(np.diff(x_t)))
+    maxima = [i for i in range(1, size - 1)
+              if d[i] > d[i - 1] and d[i] >= d[i + 1]]
+    knees = []
+    for k, peak in enumerate(maxima):
+        end = maxima[k + 1] if k + 1 < len(maxima) else size
+        threshold = d[peak] - threshold_drop
+        if any(d[j] < threshold for j in range(peak, end)):
+            knees.append(peak)
+    if (not knees and maxima and maxima[-1] >= size - 2
+            and d[maxima[-1]] == d.max()):
+        knees.append(maxima[-1])
+    if not knees:
+        return False, 0, [], float("nan")
+    chosen = (max(knees, key=lambda t: (d[t], -t)) if select == "prominent"
+              else max(knees) if reflected else min(knees))
+    original = sorted(size - 1 - t if reflected else t for t in knees)
+    return (True, size - 1 - chosen if reflected else chosen, original,
+            float(d[chosen]))
+
+
 class TestKneedle:
+    @pytest.mark.parametrize("curve", ["concave", "convex"])
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_matches_point_by_point_reference(self, curve, direction):
+        rng = np.random.default_rng(13)
+        x = np.linspace(0, 20, 120)
+        rows = [np.minimum(x / knee, 1.0) for knee in rng.uniform(1, 19, 6)]
+        rows += [np.exp(-x / tau) for tau in rng.uniform(1, 8, 6)]
+        rows += [rng.normal(0, 1, x.size).cumsum() for _ in range(10)]
+        rows += [np.sin(x * w) for w in rng.uniform(0.3, 3.0, 6)]
+        ys = np.array(rows) + rng.normal(0, 1e-3, (len(rows), x.size))
+        # Plateaus (ties between neighbours), flat rows, a lone NaN.
+        ys = np.concatenate([ys, np.round(ys[::3], 1),
+                             np.ones((1, x.size)),
+                             np.where(np.arange(x.size) == 40, np.nan,
+                                      ys[:1])])
+        for sensitivity in (0.0, 0.5, 1.0, 3.0):
+            for select in ("first", "prominent"):
+                batch = find_knees(x, ys, curve=curve, direction=direction,
+                                   sensitivity=sensitivity, select=select)
+                for row, y in enumerate(ys):
+                    found, index, confirmed, prominence = reference_knee(
+                        x, y, curve, direction, sensitivity, select)
+                    assert batch.found[row] == found
+                    assert batch.index[row] == index
+                    assert np.flatnonzero(batch.confirmed[row]).tolist() \
+                        == confirmed
+                    np.testing.assert_array_equal(batch.prominence[row],
+                                                  prominence)
+
     @pytest.mark.parametrize("curve", ["concave", "convex"])
     @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
     @pytest.mark.parametrize("select", ["first", "prominent"])
@@ -207,6 +289,73 @@ class TestKneedle:
                 np.testing.assert_array_equal(
                     [knee.knee_x, knee.knee_y, knee.prominence],
                     [alone.knee_x, alone.knee_y, alone.prominence])
+
+    @staticmethod
+    def curves_over_own_x(seed):
+        rng = np.random.default_rng(seed)
+        lows, highs = rng.uniform(0, 10, 16), rng.uniform(12, 60, 16)
+        xs = np.linspace(lows, highs, 200, axis=1)
+        t = (xs - lows[:, None]) / (highs - lows)[:, None]
+        shape = rng.uniform(0.1, 0.9, (16, 1))
+        ys = np.concatenate([np.minimum(t[:4] / shape[:4], 1.0),
+                             np.exp(-t[4:8] / shape[4:8]),
+                             t[8:12] ** (5 * shape[8:12]),
+                             rng.normal(0, 1, (4, 200)).cumsum(axis=1)])
+        ys += rng.normal(0, 1e-3, ys.shape)
+        xs[-1] = 5.0  # a flat x confirms no knee
+        return xs, ys
+
+    @pytest.mark.parametrize("curve", ["concave", "convex"])
+    @pytest.mark.parametrize("direction", ["increasing", "decreasing"])
+    def test_grid_matches_find_knees_bitwise(self, curve, direction):
+        xs, ys = self.curves_over_own_x(11)
+        grid = KneeGrid(xs, curve=curve, direction=direction)
+        for sensitivity in (0.0, 1.0):
+            for select in ("first", "prominent"):
+                # All rows, then a subset in another order (the rows
+                # left in an SCG search), reuse one grid.
+                for rows in (None, np.array([9, 2, 15, 4, 0])):
+                    chosen = slice(None) if rows is None else rows
+                    hoisted = grid.knees(ys[chosen], rows,
+                                         sensitivity=sensitivity,
+                                         select=select)
+                    plain = find_knees(xs[chosen], ys[chosen],
+                                       curve=curve, direction=direction,
+                                       sensitivity=sensitivity,
+                                       select=select)
+                    assert hoisted.found.any()
+                    for field in ("x", "y", "found", "index",
+                                  "confirmed", "difference",
+                                  "prominence"):
+                        np.testing.assert_array_equal(
+                            getattr(hoisted, field), getattr(plain, field))
+
+    def test_batch_rows_equal_row_by_row(self):
+        xs, ys = self.curves_over_own_x(12)
+        batch = find_knees(xs, ys)
+        assert batch.found.any() and not batch.found.all()
+        picked = [3, 15, 0, 3, 8, 12]
+        for knee, row in zip(batch.rows(np.array(picked)), picked):
+            alone = batch.row(row)
+            assert knee.found == alone.found
+            assert knee.all_knee_x == alone.all_knee_x
+            np.testing.assert_array_equal(
+                [knee.knee_x, knee.knee_y, knee.prominence],
+                [alone.knee_x, alone.knee_y, alone.prominence])
+            np.testing.assert_array_equal(knee.difference,
+                                          alone.difference)
+            assert type(knee.knee_x) is float
+        assert batch.rows([]) == []
+
+    def test_grid_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            KneeGrid(np.arange(5.0))
+        with pytest.raises(ValueError):
+            KneeGrid(np.array([[0.0, 2.0, 1.0]]))
+        with pytest.raises(ValueError):
+            KneeGrid(np.ones((1, 5)), curve="flat")
+        with pytest.raises(ValueError):
+            KneeGrid(np.tile(np.arange(5.0), (2, 1))).knees(np.ones((3, 5)))
 
     def test_piecewise_linear_knee(self):
         x = np.linspace(0, 20, 200)

@@ -1,10 +1,17 @@
 """Tests for the SCG and SCT scatter-curve models."""
 
+import os
+import subprocess
+import sys
+import textwrap
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
 from repro.analysis import aggregate_scatter, find_knee
-from repro.core import SCGModel, SCTModel, ScatterModelConfig
+from repro.core import SCGModel, SCTModel, ScatterModelConfig, scg
 from repro.core.scg import ConcurrencyEstimate
 
 
@@ -175,6 +182,7 @@ def assert_same_estimate(batched: ConcurrencyEstimate | None,
     np.testing.assert_array_equal(
         [knee_a.knee_x, knee_a.knee_y, knee_a.prominence],
         [knee_b.knee_x, knee_b.knee_y, knee_b.prominence])
+    np.testing.assert_array_equal(knee_a.difference, knee_b.difference)
     assert batched.fit.degree == single.fit.degree
     np.testing.assert_array_equal(batched.fit.coefficients,
                                   single.fit.coefficients)
@@ -284,6 +292,153 @@ class TestEstimateMany:
 
     def test_empty_batch(self):
         assert SCGModel().estimate_many([]) == []
+
+
+class TestRowBlocks:
+    """Cutting stacks into row blocks that run on the estimation pool
+    never changes an estimate."""
+
+    def windows(self):
+        rng = np.random.default_rng(31)
+        windows = [saturating_pairs(rng, levels=(12, 16, 20)[index % 3],
+                                    knee=2.0 + index % 11,
+                                    noise=0.5 + index % 3)
+                   for index in range(60)]
+        windows.insert(5, synth_pairs(rng, samples=10))  # too few
+        nan_q, nan_gp = saturating_pairs(rng)
+        nan_gp[3] = np.nan
+        windows.insert(20, (nan_q, nan_gp))
+        return windows
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 7])
+    def test_blocks_estimate_as_each_window_alone(self, monkeypatch,
+                                                   workers):
+        # Blocks of two rows or more: each 20-window stack splits into
+        # as many blocks as there are workers, of uneven sizes.
+        monkeypatch.setattr(scg, "MIN_BLOCK_ROWS", 2)
+        monkeypatch.setattr(scg, "_worker_count", lambda: workers)
+        windows = self.windows()
+        model = SCGModel()
+        with np.errstate(invalid="ignore"):
+            batched = model.estimate_many(windows)
+            assert model.last_workers == workers
+            singles = [model.estimate(q, gp) for q, gp in windows]
+        assert batched[5] is None
+        assert batched[20] is not None and batched[20].method == "argmax"
+        assert {estimate.method for estimate in batched
+                if estimate is not None} == {"knee", "argmax"}
+        for one_of_many, alone in zip(batched, singles):
+            assert_same_estimate(one_of_many, alone)
+
+    def test_pool_threads_keep_the_callers_error_state(self, monkeypatch):
+        monkeypatch.setattr(scg, "MIN_BLOCK_ROWS", 2)
+        monkeypatch.setattr(scg, "_worker_count", lambda: 7)
+        windows = self.windows()
+        # Rates that overflow when squared, in the last block of the
+        # 20-level stack (so on a pool thread).
+        q, gp = windows[-1]
+        windows.append((q, gp * 1e200))
+        model = SCGModel()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                batched = model.estimate_many(windows)
+                assert model.last_workers == 7
+                alone = model.estimate(*windows[-1])
+        assert_same_estimate(batched[-1], alone)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            model.estimate_many(windows)
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # More blocks than cores from several callers at once, with
+        # frequent thread switches: every caller still gets the serial
+        # estimates, in window order.
+        monkeypatch.setattr(scg, "MIN_BLOCK_ROWS", 2)
+        monkeypatch.setattr(scg, "_pool", None)
+        windows = self.windows()
+        monkeypatch.setattr(scg, "_worker_count", lambda: 1)
+        with np.errstate(invalid="ignore"):
+            serial = SCGModel().estimate_many(windows)
+        results: dict[int, list] = {}
+
+        def call(caller: int) -> None:
+            with np.errstate(invalid="ignore"):
+                results[caller] = SCGModel().estimate_many(windows)
+
+        # Callers ask for growing pools, so the pool is also replaced
+        # while others are using it.
+        monkeypatch.setattr(scg, "_worker_count",
+                            lambda: 2 + threading.get_ident() % 5)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(caller,))
+                       for caller in range(6)]
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in callers)
+        assert sorted(results) == list(range(6))
+        for estimates in results.values():
+            for one_of_many, alone in zip(estimates, serial, strict=True):
+                assert_same_estimate(one_of_many, alone)
+
+    def test_small_stacks_stay_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(scg, "_worker_count", lambda: 4)
+        model = SCGModel()
+        model.estimate_many(self.windows())
+        assert model.last_workers == 1
+
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(scg, "_worker_count", lambda: 1)
+        monkeypatch.setattr(scg, "_pool", None)
+        rng = np.random.default_rng(32)
+        windows = [saturating_pairs(rng, knee=2.0 + index % 15)
+                   for index in range(1000)]
+        before = threading.active_count()
+        model = SCGModel()
+        model.estimate_many(windows)
+        assert model.last_workers == 1
+        assert scg._pool is None
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                        reason="no CPU affinity masks on this platform")
+    def test_one_cpu_mask_runs_serially(self):
+        # The worker count is the affinity mask, as `taskset` sets it.
+        script = textwrap.dedent("""
+            import os, threading
+            import numpy as np
+            from repro.core import SCGModel, scg
+            os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            rng = np.random.default_rng(1)
+            q = rng.uniform(0.5, 20.0, (600, 240))
+            windows = [(row, 30 * row / (1 + row / 8)) for row in q]
+            before = threading.active_count()
+            model = SCGModel()
+            model.estimate_many(windows)
+            print(scg._worker_count(), model.last_workers,
+                  scg._pool is None, threading.active_count() - before)
+        """)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        output = subprocess.run([sys.executable, "-c", script], env=env,
+                                check=True, capture_output=True,
+                                text=True).stdout
+        assert output.split() == ["1", "1", "True", "0"]
+
+    def test_pool_is_rebuilt_in_a_forked_child(self, monkeypatch):
+        pool = scg._executor(1)
+        assert scg._executor(1) is pool
+        # A forked child sees another pid, and its parent's pool
+        # threads do not exist there.
+        pid = os.getpid()
+        monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+        child = scg._executor(1)
+        assert child is not pool
+        assert child.submit(lambda: 42).result() == 42
 
 
 class TestOracleParity:

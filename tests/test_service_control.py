@@ -13,6 +13,7 @@ import typing as _t
 import numpy as np
 import pytest
 
+from repro.core import scg
 from repro.core.scg import ScatterModelConfig
 from repro.service import (
     AuditJournal,
@@ -216,6 +217,32 @@ def test_every_decision_feeds_one_latency_observation():
     histogram = plane.obs.registry.histogram(
         "service.recommendation.latency")
     assert histogram.count == plane.decisions_made
+
+
+def test_estimate_workers_gauge_reports_the_round_parallelism(
+        monkeypatch):
+    def run_rounds(plane):
+        rng = np.random.default_rng(5)
+        services = ("cart", "orders", "payment")
+        for index in range(40):
+            q = 1.0 + (index % 20)
+            plane.ingest_metrics(render_snapshot(
+                float(index + 1), dict.fromkeys(services, 0.9),
+                dict.fromkeys(services, q),
+                {name: 30.0 * q / (1.0 + q / 8.0) + rng.normal(0.0, 1.5)
+                 for name in services}))
+        plane.tick()
+        return plane.decisions_jsonl()
+
+    serial = ControlPlane(small_config(decide_top_k=0))
+    decisions = run_rounds(serial)
+    assert "repro_service_estimate_workers 1" in serial.openmetrics()
+    # Three windows cut into blocks of one: the same decisions.
+    monkeypatch.setattr(scg, "MIN_BLOCK_ROWS", 1)
+    monkeypatch.setattr(scg, "_worker_count", lambda: 2)
+    blocked = ControlPlane(small_config(decide_top_k=0))
+    assert run_rounds(blocked) == decisions
+    assert "repro_service_estimate_workers 2" in blocked.openmetrics()
 
 
 def test_utilization_only_series_are_screened_not_estimated():
