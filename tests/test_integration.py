@@ -5,6 +5,10 @@ the benchmark harness uses — and assert the paper's qualitative claims
 at miniature scale.
 """
 
+import dataclasses
+import json
+import pathlib
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,19 @@ from repro.experiments import (
 from repro.workloads import WorkloadTrace, big_spike, steep_tri_phase
 
 pytestmark = pytest.mark.integration
+
+#: Adaptation actions of the embedded controller, recorded from a run
+#: of the same scenario; any change to the adapter's decisions shows up
+#: here as a diff.
+GOLDEN_ACTIONS = (pathlib.Path(__file__).resolve().parent / "golden"
+                  / "controller_actions")
+
+
+def assert_actions_match_golden(name, actions):
+    observed = [dataclasses.asdict(action) for action in actions]
+    expected = json.loads(
+        (GOLDEN_ACTIONS / f"{name}.json").read_text(encoding="utf-8"))
+    assert observed == expected
 
 
 def flat_trace(users, duration):
@@ -44,6 +61,8 @@ class TestSockShopScenario:
                 trace=trace, controller=controller, autoscaler="firm")
             results[controller] = run_scenario(scenario, duration=150.0)
         assert results["sora"].goodput() > results["none"].goodput()
+        assert_actions_match_golden("sock_shop_burst",
+                                    scenario.controller.actions)
 
     def test_deterministic_given_seed(self):
         outputs = []
@@ -108,6 +127,8 @@ class TestSocialNetworkScenario:
                 drift_at=40.0)
             results[controller] = run_scenario(scenario, duration=120.0)
         assert results["sora"].goodput() > results["none"].goodput()
+        assert_actions_match_golden("social_network_drift",
+                                    scenario.controller.actions)
 
     def test_heavy_phase_slower_than_light(self):
         trace = flat_trace(300, 80.0)
