@@ -31,6 +31,7 @@ import repro.obs as obs_mod
 from repro.analysis.changepoint import PageHinkley
 from repro.app.application import Application
 from repro.autoscalers.base import Autoscaler, ScaleEvent
+from repro.core import policy
 from repro.core.deadline import DeadlinePropagator
 from repro.core.estimator import ConcurrencyEstimator, EstimatorConfig
 from repro.core.localization import (
@@ -38,8 +39,7 @@ from repro.core.localization import (
     LocalizationReport,
 )
 from repro.core.monitoring import MonitoringModule
-from repro.core.scg import ConcurrencyEstimate, ScatterModelConfig, \
-    SCGModel, SCTModel
+from repro.core.scg import ScatterModelConfig, SCGModel, SCTModel
 from repro.core.targets import ClientPoolTarget, SoftResourceTarget
 from repro.obs.events import (
     ControlRoundRecord,
@@ -74,24 +74,8 @@ class FrameworkConfig:
         control_period: how often the adapter re-evaluates targets.
         localization_window: trace window for critical-service
             localization and deadline propagation.
-        growth_factor: multiplicative exploration step used when the
-            curve is still rising at the observed edge ("we gradually
-            increase the allocation to find a new optimal value", §3.2).
         min_allocation / max_allocation: hard per-replica bounds on any
             recommendation.
-        pressure_fraction: a *shrink* is applied only when the observed
-            concurrency actually pressed the current allocation
-            (``max_Q >= pressure_fraction * allocation``) — an idle pool
-            yields degenerate knees that say nothing about capacity.
-        max_shrink_factor: one adaptation step never shrinks below this
-            fraction of the current allocation. Right after a regime
-            change the window mixes old- and new-regime samples, so a
-            single knee can wildly undershoot; stepping down bounds the
-            overshoot while converging within a couple of periods.
-        adapt_only_critical: adapt only targets on the critical service
-            (the paper's behaviour); with a single registered target the
-            distinction rarely matters because of the fallback: when no
-            target matches the critical service, all targets adapt.
         use_deadline_propagation: when False, the goodput threshold
             stays pinned at the full end-to-end SLA instead of the
             propagated per-service deadline (ablation knob; §3.2 argues
@@ -114,12 +98,8 @@ class FrameworkConfig:
 
     control_period: float = 15.0
     localization_window: float = 30.0
-    growth_factor: float = 1.5
     min_allocation: int = 2
     max_allocation: int = 512
-    pressure_fraction: float = 0.6
-    max_shrink_factor: float = 0.25
-    adapt_only_critical: bool = True
     use_deadline_propagation: bool = True
     detect_drift: bool = False
     localize_from_aggregates: bool = False
@@ -127,21 +107,10 @@ class FrameworkConfig:
     def __post_init__(self) -> None:
         if self.control_period <= 0 or self.localization_window <= 0:
             raise ValueError("periods must be positive")
-        if self.growth_factor <= 1.0:
-            raise ValueError(
-                f"growth_factor must exceed 1, got {self.growth_factor}")
         if not 1 <= self.min_allocation <= self.max_allocation:
             raise ValueError(
                 f"need 1 <= min_allocation <= max_allocation, got "
                 f"[{self.min_allocation}, {self.max_allocation}]")
-        if not 0.0 <= self.pressure_fraction <= 1.0:
-            raise ValueError(
-                f"pressure_fraction must be in [0, 1], got "
-                f"{self.pressure_fraction}")
-        if not 0.0 < self.max_shrink_factor <= 1.0:
-            raise ValueError(
-                f"max_shrink_factor must be in (0, 1], got "
-                f"{self.max_shrink_factor}")
 
 
 class ConcurrencyAdaptationFramework:
@@ -198,8 +167,8 @@ class ConcurrencyAdaptationFramework:
         self.estimators: dict[str, ConcurrencyEstimator] = {}
         for target in self.targets:
             model = self._build_model(model_config)
-            provider = self._threshold_provider(target.name) \
-                if sla is not None else None
+            provider = (None if sla is None else
+                        lambda name=target.name: self._thresholds[name])
             self.estimators[target.name] = ConcurrencyEstimator(
                 env, target, model, provider, config=estimator_config,
                 obs=self.obs)
@@ -212,12 +181,6 @@ class ConcurrencyAdaptationFramework:
     # ------------------------------------------------------------------
     def _build_model(self, model_config: ScatterModelConfig | None):
         return SCGModel(model_config)
-
-    def _threshold_provider(self, target_name: str
-                            ) -> _t.Callable[[], float]:
-        def provider() -> float:
-            return self._thresholds[target_name]
-        return provider
 
     def threshold_for(self, target: SoftResourceTarget) -> float:
         """The current propagated threshold for ``target``."""
@@ -284,15 +247,13 @@ class ConcurrencyAdaptationFramework:
         if self.config.detect_drift:
             self._check_drift()
 
+        # Adapt the targets on the critical service (the paper's
+        # behaviour), or all of them when none sits on it.
         critical = report.critical_service
         matched = [t for t in self.targets
-                   if t.service.name == critical]
-        if not self.config.adapt_only_critical or critical is None \
-                or not matched:
-            matched = self.targets
+                   if t.service.name == critical] or self.targets
         with obs.phase("scg_estimation"):
-            decisions = tuple(self._adapt(target, trigger="periodic")
-                              for target in matched)
+            decisions = self._adapt_round(matched, "periodic")
         if obs:
             with obs.phase("decision"):
                 thresholds = {t.name: self._thresholds[t.name]
@@ -315,130 +276,40 @@ class ConcurrencyAdaptationFramework:
                 traces=len(traces),
                 wall_ms=wall_ms))
 
-    def _decision(self, target: SoftResourceTarget, trigger: Trigger,
-                  outcome: str, reason: str, before: int, after: int,
-                  estimate: ConcurrencyEstimate | None = None,
-                  growth_can_help: bool | None = None
-                  ) -> TargetDecision:
-        """Assemble the typed audit record for one verdict."""
-        threshold = self._thresholds.get(target.name)
-        if threshold == float("inf"):
-            threshold = None
-        knee_q = knee_rate = degree = samples = max_q = method = None
-        fit_r2 = prominence = None
-        curve = None
-        if estimate is not None:
-            method = estimate.method
-            degree = estimate.fit.degree
-            samples = estimate.samples
-            max_q = estimate.max_concurrency
-            if estimate.fit_r2 == estimate.fit_r2:
-                fit_r2 = round(float(estimate.fit_r2), 4)
-            if estimate.knee.found:
-                knee_q = float(estimate.knee.knee_x)
-                knee_rate = float(estimate.knee.knee_y)
-                if estimate.knee.prominence == estimate.knee.prominence:
-                    prominence = round(float(estimate.knee.prominence), 4)
-            points = self.obs.curve_points
-            if outcome == "applied" and points > 0:
-                stride = max(1, len(estimate.fit.x) // points)
-                curve = tuple(
-                    (round(float(q), 3), round(float(r), 3))
-                    for q, r in zip(estimate.fit.x[::stride],
-                                    estimate.fit.y[::stride]))
-        return TargetDecision(
-            target=target.name, trigger=trigger,
-            outcome=_t.cast(_t.Any, outcome), reason=reason,
-            before=before, after=after, threshold=threshold,
-            method=method, knee_concurrency=knee_q,
-            knee_rate=knee_rate, poly_degree=degree, samples=samples,
-            max_concurrency=max_q, growth_can_help=growth_can_help,
-            fit_r2=fit_r2, knee_prominence=prominence, curve=curve)
+    def _adapt_round(self, targets: _t.Sequence[SoftResourceTarget],
+                     trigger: Trigger) -> tuple[TargetDecision, ...]:
+        """Build the policy columns of ``targets``, estimate the rows
+        saturation does not settle, and apply the verdicts."""
+        now = self.env.now
+        estimators = [self.estimators[target.name] for target in targets]
+        current = [self._desired[target.name] for target in targets]
+        windows = [estimator.sampler.pairs(
+            since=now - estimator.config.window)[0]
+            for estimator in estimators]
+        settled = policy.saturated(
+            current, windows, estimators[0].model.config.min_samples)
+        estimates = [None if skip else estimator.estimate_now()
+                     for skip, estimator in zip(settled, estimators)]
+        decisions = policy.decide(
+            [target.name for target in targets], trigger, current,
+            [self._thresholds[target.name] for target in targets],
+            [self._processing_p90(target) for target in targets],
+            settled, estimates,
+            min_allocation=self.config.min_allocation,
+            max_allocation=self.config.max_allocation,
+            curve_points=self.obs.curve_points)
+        for target, decision in zip(targets, decisions):
+            if decision.outcome == "applied":
+                self._apply(target, decision.after,
+                            policy.action_method(decision), trigger)
+        return decisions
 
-    def _adapt(self, target: SoftResourceTarget,
-               trigger: Trigger) -> TargetDecision:
-        """One target's evaluation; returns the audit-trail decision."""
-        estimator = self.estimators[target.name]
-        current = self._desired[target.name]
-
-        # A pool that spends most of the window pinned at its allocation
-        # censors the concurrency range, so any knee found inside it is
-        # unreliable. Steer by where the latency lives instead: healthy
-        # post-admission processing means the gate itself is the
-        # bottleneck — explore upward ("gradually increase the
-        # allocation to find a new optimal value", §3.2); processing
-        # past the threshold means over-admission is melting the
-        # service — step the allocation down.
-        if self._saturated(estimator, current):
-            can_grow = self._growth_can_help(target, estimator)
-            if can_grow:
-                new = min(self.config.max_allocation,
-                          max(current + 1, math.ceil(
-                              current * self.config.growth_factor)))
-                if new != current:
-                    self._apply(target, new, "saturation", trigger)
-                    return self._decision(
-                        target, trigger, "applied", "saturation-grow",
-                        current, new, growth_can_help=True)
-                return self._decision(
-                    target, trigger, "hold", "saturation-capped",
-                    current, current, growth_can_help=True)
-            new = max(self.config.min_allocation, math.ceil(
-                current * self.config.max_shrink_factor))
-            if new != current:
-                self._apply(target, new, "overload-shed", trigger)
-                return self._decision(
-                    target, trigger, "applied", "overload-shed",
-                    current, new, growth_can_help=False)
-            return self._decision(
-                target, trigger, "hold", "overload-floor",
-                current, current, growth_can_help=False)
-
-        estimate = estimator.estimate_now()
-        if estimate is None:
-            return self._decision(target, trigger, "hold",
-                                  "no-estimate", current, current)
-        recommendation = estimate.optimal_concurrency
-        max_q = estimate.max_concurrency
-        at_edge = max_q > 0 and recommendation >= 0.9 * max_q
-        reason = estimate.method
-        if at_edge:
-            # The curve's interesting point sits at the edge of the
-            # observed concurrency range: censored data. If the pool
-            # itself was the ceiling — and removing it could actually
-            # cut latency — the true optimum lies beyond it: gradually
-            # explore upward (§3.2). If demand never filled the pool,
-            # the window proves nothing — hold.
-            if max_q < 0.9 * current:
-                return self._decision(target, trigger, "hold",
-                                      "edge-unpressed-hold", current,
-                                      current, estimate=estimate)
-            if self._growth_can_help(target, estimator):
-                new = max(current + 1,
-                          math.ceil(current * self.config.growth_factor))
-                reason = "edge-grow"
-            else:
-                new = math.ceil(current * self.config.max_shrink_factor)
-                reason = "edge-shrink"
-        else:
-            new = recommendation
-        if new < current:
-            new = max(new, math.ceil(
-                current * self.config.max_shrink_factor))
-        new = max(self.config.min_allocation,
-                  min(self.config.max_allocation, new))
-        if new < current and estimate.max_concurrency < \
-                self.config.pressure_fraction * current:
-            # The pool never filled in this window: the data cannot
-            # justify shrinking it (idle pools look like early knees).
-            return self._decision(target, trigger, "hold", "idle-hold",
-                                  current, current, estimate=estimate)
-        if new == current:
-            return self._decision(target, trigger, "hold", "unchanged",
-                                  current, current, estimate=estimate)
-        self._apply(target, new, estimate.method, trigger)
-        return self._decision(target, trigger, "applied", reason,
-                              current, new, estimate=estimate)
+    def _processing_p90(self, target: SoftResourceTarget) -> float:
+        """P90 of the target's post-admission processing times over its
+        estimation window."""
+        now = self.env.now
+        return policy.p90(target.processing_latencies(
+            now - self.estimators[target.name].config.window, now))
 
     def _check_drift(self) -> None:
         """Feed each target's recent mean processing time to its
@@ -460,35 +331,6 @@ class ConcurrencyAdaptationFramework:
                                                 target=target.name))
                     self.obs.registry.counter(
                         "controller.drift_detections").inc()
-
-    def _saturated(self, estimator, current: int) -> bool:
-        """Whether the pool spent most of the recent window pinned at
-        its allocation (growth signal when the model has no estimate)."""
-        since = self.env.now - estimator.config.window
-        concurrency, _rates = estimator.sampler.pairs(since=since)
-        busy = concurrency[concurrency > 0]
-        if busy.size < estimator.model.config.min_samples // 2:
-            return False
-        pinned = (busy >= 0.9 * current).mean()
-        return bool(pinned >= 0.5)
-
-    def _growth_can_help(self, target: SoftResourceTarget,
-                         estimator: ConcurrencyEstimator) -> bool:
-        """Whether more tokens could actually reduce latency.
-
-        Growth only removes *admission-queue* waiting. If the gated
-        service's post-admission processing time already blows the
-        threshold (a melted downstream, a saturated CPU), admitting more
-        concurrency makes things worse — hold instead.
-        """
-        threshold = self._thresholds[target.name]
-        if threshold == float("inf"):
-            return True  # latency-agnostic mode (SCT) always explores
-        since = self.env.now - estimator.config.window
-        processing = target.processing_latencies(since, self.env.now)
-        if processing.size == 0:
-            return False
-        return bool(np.percentile(processing, 90) <= threshold)
 
     def _apply(self, target: SoftResourceTarget, per_replica: int,
                method: str, trigger: Trigger) -> None:
@@ -531,17 +373,19 @@ class ConcurrencyAdaptationFramework:
                 if bootstrap != self._desired[target.name]:
                     self._apply(target, bootstrap, "proportional",
                                 "bootstrap")
-                    decisions.append(self._decision(
-                        target, "bootstrap", "applied", "proportional",
-                        before, bootstrap))
+                    decisions.append(policy.record(
+                        target.name, "bootstrap", "applied",
+                        "proportional", before, bootstrap,
+                        self._thresholds[target.name]))
             elif event.kind == "horizontal":
                 # Re-assert the per-replica allocation so shared client
                 # pools track the new replica count (Fig. 12).
                 self._apply(target, self._desired[target.name],
                             "replica-track", "scale-event")
-                decisions.append(self._decision(
-                    target, "scale-event", "applied", "replica-track",
-                    before, self._desired[target.name]))
+                decisions.append(policy.record(
+                    target.name, "scale-event", "applied",
+                    "replica-track", before, self._desired[target.name],
+                    self._thresholds[target.name]))
             # Samples gathered under the old hardware no longer
             # describe the capacity curve.
             estimator.sampler.prune(self.env.now)

@@ -35,6 +35,7 @@ import numpy as np
 
 from repro.app.application import Application
 from repro.autoscalers.base import ScaleEvent
+from repro.core import policy
 from repro.core.monitoring import MonitoringModule
 from repro.core.sora import SoraController
 from repro.core.targets import SoftResourceTarget
@@ -101,7 +102,9 @@ class UnifiedSoraController(SoraController):
         current = service.cores_per_replica
         estimator = self.estimators[target.name]
 
-        slo_pressure = not self._growth_can_help(target, estimator) or \
+        slo_pressure = not policy.can_grow(
+            self._thresholds[target.name],
+            self._processing_p90(target)) or \
             self._badput_fraction(target, estimator) > 0.05
 
         if utilization > config.utilization_high and \

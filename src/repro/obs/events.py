@@ -21,10 +21,34 @@ import json
 import pathlib
 import typing as _t
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 #: Why a target's allocation changed — or why it did not.
 DecisionOutcome = _t.Literal["applied", "hold"]
+
+
+class _Record:
+    """The JSON round trip shared by the typed records."""
+
+    kind: _t.ClassVar[str]
+    #: Converters applied to payload fields when rebuilding a record.
+    _CONVERT: _t.ClassVar[dict[str, _t.Callable]] = {}
+
+    def to_dict(self) -> dict:
+        """JSON-ready record payload: the kind tag, then every field."""
+        return {"kind": self.kind, **vars(self)}
+
+    @classmethod
+    def from_dict(cls, payload: dict):
+        """Rebuild a record from its ``to_dict`` payload: each field the
+        payload carries, converted where ``_CONVERT`` says; absent
+        fields keep their defaults."""
+        values = {item.name: payload[item.name] for item in fields(cls)
+                  if item.name in payload}
+        for name, function in cls._CONVERT.items():
+            if name in values:
+                values[name] = function(values[name])
+        return cls(**values)
 
 
 def _round_floats(mapping: dict[str, float],
@@ -34,7 +58,7 @@ def _round_floats(mapping: dict[str, float],
 
 
 @dataclass(frozen=True)
-class TargetDecision:
+class TargetDecision(_Record):
     """One target's verdict within a control round.
 
     Attributes:
@@ -43,10 +67,13 @@ class TargetDecision:
             / bootstrap).
         outcome: "applied" (allocation changed) or "hold".
         reason: machine-readable cause — the estimate method ("knee",
-            "argmax") or the rule that fired ("saturation-grow",
-            "overload-shed", "censored-hold", "idle-hold",
-            "no-estimate", "unchanged", "proportional",
-            "replica-track", "edge-unpressed-hold").
+            "argmax"), the policy rule that fired
+            ("saturation-grow", "saturation-capped", "overload-shed",
+            "overload-floor", "edge-unpressed-hold", "edge-grow",
+            "edge-shrink", "idle-hold", "unchanged", "no-estimate";
+            see :mod:`repro.core.policy`), or the embedded
+            controller's hardware-scale reaction ("proportional",
+            "replica-track").
         before / after: per-replica allocation around the decision
             (``after == before`` for holds).
         threshold: propagated RT threshold active during the window
@@ -69,6 +96,9 @@ class TargetDecision:
     """
 
     kind: _t.ClassVar[str] = "decision"
+    _CONVERT: _t.ClassVar[dict[str, _t.Callable]] = {
+        "curve": lambda curve: (tuple((q, r) for q, r in curve)
+                                if curve is not None else None)}
 
     target: str
     trigger: str
@@ -89,57 +119,26 @@ class TargetDecision:
     curve: tuple[tuple[float, float], ...] | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready record payload."""
-        payload: dict[str, _t.Any] = {
-            "kind": self.kind,
-            "target": self.target,
-            "trigger": self.trigger,
-            "outcome": self.outcome,
-            "reason": self.reason,
-            "before": self.before,
-            "after": self.after,
-        }
-        for key in ("threshold", "method", "knee_concurrency",
-                    "knee_rate", "poly_degree", "samples",
-                    "max_concurrency", "growth_can_help",
-                    "fit_r2", "knee_prominence"):
-            value = getattr(self, key)
+        """JSON-ready record payload (unset diagnostics omitted)."""
+        payload: dict[str, _t.Any] = {"kind": self.kind}
+        for name, value in vars(self).items():
             if value is not None:
-                payload[key] = value
+                payload[name] = value
         if self.curve is not None:
             payload["curve"] = [[q, r] for q, r in self.curve]
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TargetDecision":
-        curve = payload.get("curve")
-        return cls(
-            target=payload["target"],
-            trigger=payload["trigger"],
-            outcome=payload["outcome"],
-            reason=payload["reason"],
-            before=payload["before"],
-            after=payload["after"],
-            threshold=payload.get("threshold"),
-            method=payload.get("method"),
-            knee_concurrency=payload.get("knee_concurrency"),
-            knee_rate=payload.get("knee_rate"),
-            poly_degree=payload.get("poly_degree"),
-            samples=payload.get("samples"),
-            max_concurrency=payload.get("max_concurrency"),
-            growth_can_help=payload.get("growth_can_help"),
-            fit_r2=payload.get("fit_r2"),
-            knee_prominence=payload.get("knee_prominence"),
-            curve=(tuple((q, r) for q, r in curve)
-                   if curve is not None else None),
-        )
-
 
 @dataclass(frozen=True)
-class ControlRoundRecord:
+class ControlRoundRecord(_Record):
     """One adapter iteration: localization context + target decisions."""
 
     kind: _t.ClassVar[str] = "control-round"
+    _CONVERT: _t.ClassVar[dict[str, _t.Callable]] = {
+        "dominant_path": tuple, "correlations": dict,
+        "candidates": tuple, "thresholds": dict,
+        "decisions": lambda decisions: tuple(
+            TargetDecision.from_dict(d) for d in decisions)}
 
     time: float
     controller: str
@@ -172,26 +171,9 @@ class ControlRoundRecord:
             payload["wall_ms"] = round(self.wall_ms, 3)
         return payload
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ControlRoundRecord":
-        return cls(
-            time=payload["time"],
-            controller=payload["controller"],
-            trigger=payload["trigger"],
-            critical_service=payload.get("critical_service"),
-            dominant_path=tuple(payload.get("dominant_path", ())),
-            correlations=dict(payload.get("correlations", {})),
-            candidates=tuple(payload.get("candidates", ())),
-            thresholds=dict(payload.get("thresholds", {})),
-            decisions=tuple(TargetDecision.from_dict(d)
-                            for d in payload.get("decisions", ())),
-            traces=payload.get("traces", 0),
-            wall_ms=payload.get("wall_ms"),
-        )
-
 
 @dataclass(frozen=True)
-class ScaleEventRecord:
+class ScaleEventRecord(_Record):
     """A hardware scaling action, as seen by the observability layer."""
 
     kind: _t.ClassVar[str] = "scale-event"
@@ -203,28 +185,9 @@ class ScaleEventRecord:
     after: float
     autoscaler: str | None = None
 
-    def to_dict(self) -> dict:
-        """JSON-ready record payload."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "service": self.service,
-            "scale_kind": self.scale_kind,
-            "before": self.before,
-            "after": self.after,
-            "autoscaler": self.autoscaler,
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ScaleEventRecord":
-        return cls(time=payload["time"], service=payload["service"],
-                   scale_kind=payload["scale_kind"],
-                   before=payload["before"], after=payload["after"],
-                   autoscaler=payload.get("autoscaler"))
-
 
 @dataclass(frozen=True)
-class DriftRecord:
+class DriftRecord(_Record):
     """A Page-Hinkley regime-shift detection on one target."""
 
     kind: _t.ClassVar[str] = "drift"
@@ -232,18 +195,9 @@ class DriftRecord:
     time: float
     target: str
 
-    def to_dict(self) -> dict:
-        """JSON-ready record payload."""
-        return {"kind": self.kind, "time": self.time,
-                "target": self.target}
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "DriftRecord":
-        return cls(time=payload["time"], target=payload["target"])
-
 
 @dataclass(frozen=True)
-class FaultRecord:
+class FaultRecord(_Record):
     """An injected fault transition (see :mod:`repro.faults`).
 
     Attributes:
@@ -259,6 +213,7 @@ class FaultRecord:
     """
 
     kind: _t.ClassVar[str] = "fault"
+    _CONVERT: _t.ClassVar[dict[str, _t.Callable]] = {"detail": dict}
 
     time: float
     fault: str
@@ -268,32 +223,14 @@ class FaultRecord:
     detail: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        """JSON-ready record payload."""
-        payload: dict[str, _t.Any] = {
-            "kind": self.kind,
-            "time": self.time,
-            "fault": self.fault,
-            "phase": self.phase,
-        }
-        if self.service is not None:
-            payload["service"] = self.service
-        if self.edge is not None:
-            payload["edge"] = self.edge
-        if self.detail:
-            payload["detail"] = dict(self.detail)
-        return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "FaultRecord":
-        return cls(time=payload["time"], fault=payload["fault"],
-                   phase=payload["phase"],
-                   service=payload.get("service"),
-                   edge=payload.get("edge"),
-                   detail=dict(payload.get("detail", {})))
+        """JSON-ready record payload (unset fields omitted)."""
+        return {"kind": self.kind,
+                **{name: value for name, value in asdict(self).items()
+                   if value is not None and value != {}}}
 
 
 @dataclass(frozen=True)
-class AlertRecord:
+class AlertRecord(_Record):
     """An SLO burn-rate alert transition (see :mod:`repro.obs.slo`).
 
     Attributes:
@@ -323,28 +260,10 @@ class AlertRecord:
 
     def to_dict(self) -> dict:
         """JSON-ready record payload."""
-        return {
-            "kind": self.kind,
-            "time": self.time,
-            "slo": self.slo,
-            "rule": self.rule,
-            "phase": self.phase,
-            "severity": self.severity,
-            "burn_long": round(self.burn_long, 4),
-            "burn_short": round(self.burn_short, 4),
-            "factor": self.factor,
-            "budget_remaining": round(self.budget_remaining, 6),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "AlertRecord":
-        return cls(time=payload["time"], slo=payload["slo"],
-                   rule=payload["rule"], phase=payload["phase"],
-                   severity=payload["severity"],
-                   burn_long=payload["burn_long"],
-                   burn_short=payload["burn_short"],
-                   factor=payload["factor"],
-                   budget_remaining=payload["budget_remaining"])
+        return {"kind": self.kind, **vars(self),
+                "burn_long": round(self.burn_long, 4),
+                "burn_short": round(self.burn_short, 4),
+                "budget_remaining": round(self.budget_remaining, 6)}
 
 
 ObsRecord = _t.Union[ControlRoundRecord, TargetDecision,

@@ -1,31 +1,29 @@
-"""Application layer: the online localization → propagation → SCG loop.
+"""Application layer: the online localization → propagation → adaptation
+loop.
 
 :class:`ControlPlane` is the long-lived, transport-free core of the
-service. Adapters feed it validated snapshots and trace batches; on
-each control round it re-runs the paper's pipeline over its streaming
-state:
+service. Adapters feed it validated snapshots and trace batches; each
+control round re-runs the paper's pipeline over its streaming state:
 
 1. **Localization** — utilization screening plus the streaming-Pearson
-   critical-path aggregator
-   (:meth:`~repro.core.localization.CriticalServiceLocator.
-   locate_from_aggregate`), so the signal survives bounded memory and
+   critical-path aggregator, so the signal survives bounded memory and
    arbitrary trace sampling upstream.
-2. **Deadline propagation** — per-trace upstream budgets are folded at
-   ingest time into a bounded window, so the per-round threshold is a
-   cheap mean even with thousands of candidate services.
-3. **SCG estimation** — the scatter-curve model over every decided
-   service's windowed ``<Q, GP>`` pairs, in one
-   :meth:`~repro.core.scg.ScatterCurveModel.estimate_many` batch.
+2. **Deadline propagation** — per-trace upstream budgets, folded at
+   ingest into a bounded window, so a round's threshold is a cheap mean.
+3. **Adaptation** — the embedded controller's decision core
+   (:mod:`repro.core.policy`) over every decided service: the
+   saturation rules settle pinned pools, one
+   :meth:`~repro.core.scg.ScatterCurveModel.estimate_many` batch
+   estimates the rest. Span processing times (``departure - started``),
+   folded at ingest beside the budgets, feed the growth gate.
 
 Every round appends a :class:`~repro.obs.events.ControlRoundRecord` to
-the decision log. ``wall_ms`` is deliberately left unset on these
-records: the audit trail must replay byte-identically from the journal,
-and wall clocks do not replay. Wall latencies instead feed the
-service's *own* observability — a P² sketch and registry histogram of
-per-recommendation latency (each recommendation's amortized share of
-its round's estimation batch) plus an SLO monitor with a burn-rate
-budget on the controller itself — exported through the existing
-OpenMetrics path.
+the decision log, with ``wall_ms`` unset: the audit trail must replay
+byte-identically from the journal, and wall clocks do not replay. Wall
+latencies feed the service's *own* observability instead — a P² sketch
+and histogram of per-recommendation latency (each one's share of its
+round's estimation batch) and an SLO monitor on the controller itself,
+exported over OpenMetrics.
 
 Determinism contract: given the same sequence of
 ``ingest_metrics`` / ``ingest_traces`` / ``tick`` calls (with the
@@ -41,9 +39,10 @@ from collections import deque
 
 import numpy as np
 
+from repro.core import policy
 from repro.core.deadline import clamp_threshold
 from repro.core.localization import CriticalServiceLocator
-from repro.core.scg import ConcurrencyEstimate, SCGModel
+from repro.core.scg import SCGModel
 from repro.obs import (
     ControlRoundRecord,
     FlightRecorder,
@@ -116,6 +115,10 @@ class ControlPlane:
         #: a mean over this window instead of a re-walk of every trace.
         self._budgets: deque[dict[str, float]] = deque(
             maxlen=cfg.trace_window)
+        #: Per-trace ``(service, departure, departure - started)`` of
+        #: every span, in the same window: the growth gate's evidence.
+        self._processing: deque[tuple[tuple[str, float, float], ...]] = \
+            deque(maxlen=cfg.trace_window)
         self.recommendations: dict[str, Recommendation] = {}
         #: Logical clock: advanced by snapshot timestamps, trace
         #: departures, and control rounds — never by the wall clock.
@@ -152,8 +155,9 @@ class ControlPlane:
                 ``"stale-snapshot"`` when the snapshot's time precedes
                 a sample already observed for one of its series (the
                 per-series clocks must be non-decreasing),
-                ``"bad-openmetrics"`` when a service with a pair
-                reports a NaN or infinite allocation.
+                ``"bad-openmetrics"`` when a service's concurrency or
+                goodput is NaN, infinite or negative, or a service with
+                a pair reports a NaN or infinite allocation.
         """
         cfg = self.config
         with self.flight.phase("ingest.metrics"):
@@ -193,13 +197,26 @@ class ControlPlane:
                     "stale-snapshot",
                     f"snapshot time {now} precedes already-observed "
                     f"samples (latest {latest}) for: {', '.join(names)}")
-            sized = paired & snapshot.has_allocation
-            if not np.isfinite(snapshot.allocation[sized]).all():
+            # A NaN, infinite or negative pair, or a non-finite pool size
+            # beside one, would be stored and fitted (or fail every
+            # later round), so it rejects the whole snapshot.
+            head = slice(0, snapshot.pairs)
+            pair = np.stack((snapshot.concurrency[head],
+                             snapshot.rate[head]))
+            sized = np.where(snapshot.has_allocation[head],
+                             snapshot.allocation[head], 0.0)
+            invalid = ~((np.isfinite(pair) & (pair >= 0)).all(axis=0)
+                        & np.isfinite(sized))
+            if invalid.any():
                 self.obs.registry.counter("service.rejected").inc()
+                names = [snapshot.services[i]
+                         for i in np.flatnonzero(invalid)]
                 raise IngestError(
                     "bad-openmetrics",
-                    f"{cfg.allocation_family!r} must be finite for "
-                    f"services with pair telemetry")
+                    f"{cfg.concurrency_family!r} and {cfg.rate_family!r} "
+                    f"must be finite and non-negative, and "
+                    f"{cfg.allocation_family!r} finite, for services with "
+                    f"pair telemetry; invalid for: {', '.join(names)}")
             self.now = max(self.now, now)
             store.observe(now, store.track(snapshot.services), snapshot)
             self._pending += 1
@@ -224,6 +241,12 @@ class ControlPlane:
                     budgets[span.service] = upstream
                     upstream += span.self_time()
                 self._budgets.append(budgets)
+                self._processing.append(tuple(
+                    (span.service, span.departure,
+                     span.departure - span.started)
+                    for span in root.walk()
+                    if span.started is not None
+                    and span.departure is not None))
                 self.now = max(self.now, _t.cast(float, root.departure))
             self.traces_ingested += len(roots)
         self.obs.registry.counter("service.traces").inc(len(roots))
@@ -256,62 +279,71 @@ class ControlPlane:
                        if spent else cfg.sla)
                 for name, spent in budgets.items()}
 
-    def _decide(self, service: str, now: float, threshold: float,
-                samples: int,
-                estimate: ConcurrencyEstimate | None) -> TargetDecision:
-        """Record one service's verdict on its estimate."""
+    def _adapt(self, services: _t.Sequence[str], now: float,
+               thresholds: dict[str, float]) -> tuple[TargetDecision, ...]:
+        """Run the decision core over the decided services and refresh
+        each one's recommendation. A service's pool in force is the one
+        it reported, else its last recommendation, else
+        ``min_allocation``; its processing P90 covers the spans that
+        departed in ``(now - window, now]``."""
         cfg = self.config
-        reported = self._store.allocation(service)
-        previous = self.recommendations.get(service)
-        before = (reported if reported is not None
-                  else previous.allocation if previous is not None
-                  else cfg.min_allocation)
-        if estimate is None:
-            return TargetDecision(
-                target=service, trigger="round", outcome="hold",
-                reason="no-estimate", before=before, after=before,
-                threshold=threshold, samples=samples)
-        allocation = min(cfg.max_allocation,
-                         max(cfg.min_allocation,
-                             estimate.optimal_concurrency))
-        knee = estimate.knee
-        knee_q = float(knee.knee_x) if knee.found else None
-        knee_rate = float(knee.knee_y) if knee.found else None
-        decision = TargetDecision(
-            target=service, trigger="round",
-            outcome=("applied" if allocation != before else "hold"),
-            reason=(estimate.method if allocation != before
-                    else "unchanged"),
-            before=before, after=allocation, threshold=threshold,
-            method=estimate.method,
-            knee_concurrency=knee_q,
-            knee_rate=knee_rate,
-            poly_degree=estimate.fit.degree,
-            samples=estimate.samples,
-            max_concurrency=float(estimate.max_concurrency),
-            fit_r2=(float(estimate.fit_r2)
-                    if np.isfinite(estimate.fit_r2) else None))
-        self.recommendations[service] = Recommendation(
-            service=service, allocation=allocation, before=before,
-            method=estimate.method, threshold=threshold,
-            round=self.rounds + 1, time=now,
-            samples=estimate.samples,
-            max_concurrency=float(estimate.max_concurrency),
-            poly_degree=estimate.fit.degree,
-            fit_r2=(float(estimate.fit_r2)
-                    if np.isfinite(estimate.fit_r2) else None),
-            knee_concurrency=knee_q,
-            knee_rate=knee_rate)
-        self.obs.timeline.record(f"rec.{service}", now,
-                                 float(allocation))
-        return decision
+        store = self._store
+        since = now - cfg.window
+        processing: dict[str, list[float]] = {name: [] for name in services}
+        for entry in self._processing:
+            for service, departure, seconds in entry:
+                if service in processing and since < departure <= now:
+                    processing[service].append(seconds)
+        current = []
+        for name in services:
+            reported = store.allocation(name)
+            previous = self.recommendations.get(name)
+            current.append(reported if reported is not None
+                           else previous.allocation if previous is not None
+                           else cfg.min_allocation)
+        limits = [thresholds[name] for name in services]
+        windows = store.windows(services, since)
+        settled = policy.saturated(
+            current, [concurrency for concurrency, _rate in windows],
+            cfg.scatter.min_samples)
+        rows = np.flatnonzero(~settled).tolist()
+        estimates: list = [None] * len(services)
+        for row, estimate in zip(rows, self.model.estimate_many(
+                [windows[row] for row in rows],
+                [limits[row] for row in rows])):
+            estimates[row] = estimate
+        decisions = policy.decide(
+            services, "round", current, limits,
+            [policy.p90(processing[name]) for name in services], settled,
+            estimates, min_allocation=cfg.min_allocation,
+            max_allocation=cfg.max_allocation)
+        for decision, (concurrency, _rate) in zip(decisions, windows):
+            name = decision.target
+            self.recommendations[name] = Recommendation(
+                service=name, allocation=decision.after,
+                before=decision.before,
+                method=decision.method or decision.reason,
+                threshold=thresholds[name], round=self.rounds + 1,
+                time=now,
+                samples=(concurrency.size if decision.samples is None
+                         else decision.samples),
+                max_concurrency=(float(concurrency.max(initial=0.0))
+                                 if decision.max_concurrency is None
+                                 else decision.max_concurrency),
+                poly_degree=decision.poly_degree, fit_r2=decision.fit_r2,
+                knee_concurrency=decision.knee_concurrency,
+                knee_rate=decision.knee_rate)
+            self.obs.timeline.record(f"rec.{name}", now,
+                                     float(decision.after))
+        return decisions
 
     def _observe_latency(self, wall: float, count: int,
                          now: float) -> None:
         """Feed one estimation batch's wall seconds to the controller's
         own latency telemetry: the batch wall once into the
-        decisions/s total, and each of the ``count`` recommendations'
-        amortized share into the sketch, histogram and SLO monitor."""
+        decisions/s total, each of the ``count`` recommendations'
+        amortized share into the sketch and histogram, and all of them
+        into the SLO monitor as one good or bad count."""
         self._wall_total += wall
         share = wall / count
         histogram = self.obs.registry.histogram(
@@ -321,7 +353,8 @@ class ControlPlane:
         for _ in range(count):
             self.latency.observe(share)
             histogram.observe(share)
-            slo.observe(now, share)
+        good = count if share <= slo.spec.latency_threshold else 0
+        slo.observe_counts(now, good, count - good)
         # Exemplar: pin the slowest recommendation to the self-trace
         # of the round that produced it, so the `/metrics` scrape links
         # straight into `/debug/rounds/{id}` (a round's recommendations
@@ -374,14 +407,7 @@ class ControlPlane:
             decisions: tuple[TargetDecision, ...] = ()
             if decided:
                 with flight.phase("estimate.batch") as timer:
-                    windows = store.windows(decided, now - cfg.window)
-                    estimates = self.model.estimate_many(
-                        windows, [thresholds[name] for name in decided])
-                    decisions = tuple(
-                        self._decide(name, now, thresholds[name],
-                                     len(concurrency), estimate)
-                        for name, (concurrency, _rate), estimate
-                        in zip(decided, windows, estimates))
+                    decisions = self._adapt(decided, now, thresholds)
                 self._observe_latency(timer.elapsed, len(decisions), now)
                 # Latency readings group by the parallelism they ran
                 # with.
@@ -433,14 +459,14 @@ class ControlPlane:
 
         Captures everything the next ``tick`` reads when producing a
         decision record: every series' pairs and readings (in the
-        version-1 per-series form), the deadline budget window,
-        current recommendations (the ``before`` baseline), counters,
-        the logical clock, and the critical-path aggregator
-        (correlations + top-k paths + sketches). Wall-clock artifacts
-        (latency sketches, the SLO monitor, the flight recorder) are
-        deliberately excluded — they never reach decision records, so
-        a restored plane replays the journal tail byte-identically
-        without them.
+        version-1 per-series form), the deadline budget window and
+        the span processing times beside it, current recommendations
+        (the ``before`` baseline), counters, the logical clock, and
+        the critical-path aggregator (correlations + top-k paths +
+        sketches). Wall-clock artifacts (latency sketches, the SLO
+        monitor, the flight recorder) are deliberately excluded — they
+        never reach decision records, so a restored plane replays the
+        journal tail byte-identically without them.
         """
         return {
             "version": 1,
@@ -452,6 +478,8 @@ class ControlPlane:
             "pending": self._pending,
             "series": self._store.state_dict(),
             "budgets": [dict(entry) for entry in self._budgets],
+            "processing": [[list(span) for span in entry]
+                           for entry in self._processing],
             "recommendations": {
                 name: dataclasses.asdict(rec)
                 for name, rec in sorted(self.recommendations.items())},
@@ -476,6 +504,14 @@ class ControlPlane:
             ({service: float(budget)
               for service, budget in entry.items()}
              for entry in state["budgets"]),
+            maxlen=cfg.trace_window)
+        # A checkpoint written before processing times were kept
+        # restores with no processing evidence for its traces.
+        self._processing = deque(
+            (tuple((service, float(departure), float(processing))
+                   for service, departure, processing in entry)
+             for entry in state.get("processing",
+                                    [[]] * len(state["budgets"]))),
             maxlen=cfg.trace_window)
         self.recommendations = {
             name: Recommendation(**payload)

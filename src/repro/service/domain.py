@@ -12,8 +12,8 @@ and persistence concerns:
   monitored service in columns: one time column, one ``rows x
   services`` array each for concurrency and goodput, and each
   service's latest utilization/allocation readings;
-- :class:`Recommendation` — one SCG-backed soft-resource verdict,
-  JSON-ready for the API layer;
+- :class:`Recommendation` — one soft-resource verdict of the shared
+  adaptation policy, JSON-ready for the API layer;
 - :class:`IngestError` — the typed rejection taxonomy every adapter
   raises, so the API layer can map causes onto status codes without
   string matching.
@@ -456,21 +456,22 @@ class SeriesStore:
 
 @dataclass(frozen=True)
 class Recommendation:
-    """One soft-resource recommendation served over the JSON API.
+    """One soft-resource recommendation served over the JSON API,
+    refreshed by every decision on its service.
 
     Attributes:
         service: the monitored service the verdict applies to.
-        allocation: recommended per-replica pool size (clamped to the
-            configured bounds).
+        allocation: the decision's per-replica pool size.
         before: the allocation in force when the round ran (reported
-            by the source, or the previous recommendation).
-        method: estimate provenance ("knee" or "argmax").
+            by the source, else the previous recommendation).
+        method: the estimate's method, else the policy rule's reason.
         threshold: propagated RT threshold the goodput window was
             judged against.
         round / time: control round ordinal and logical time.
         samples / max_concurrency / poly_degree / fit_r2 /
         knee_concurrency / knee_rate: estimate diagnostics mirroring
-            :class:`~repro.core.scg.ConcurrencyEstimate`, for the
+            :class:`~repro.core.scg.ConcurrencyEstimate` (without an
+            estimate, the window's sample count and peak), for the
             explainability report.
     """
 
@@ -489,24 +490,18 @@ class Recommendation:
     knee_rate: float | None = None
 
     def to_dict(self) -> dict:
-        """JSON-ready recommendation body."""
-        payload: dict[str, _t.Any] = {
-            "service": self.service,
-            "allocation": self.allocation,
-            "before": self.before,
-            "method": self.method,
-            "threshold": round(self.threshold, 6),
-            "round": self.round,
-            "time": self.time,
-            "samples": self.samples,
-            "max_concurrency": round(self.max_concurrency, 3),
-        }
-        if self.poly_degree is not None:
-            payload["poly_degree"] = self.poly_degree
-        if self.fit_r2 is not None and np.isfinite(self.fit_r2):
-            payload["fit_r2"] = round(self.fit_r2, 4)
-        if self.knee_concurrency is not None:
-            payload["knee_concurrency"] = round(self.knee_concurrency, 3)
-        if self.knee_rate is not None:
-            payload["knee_rate"] = round(self.knee_rate, 3)
+        """JSON-ready recommendation body (unset diagnostics omitted)."""
+        payload: dict[str, _t.Any] = {}
+        for name, value in vars(self).items():
+            if value is None or (name == "fit_r2"
+                                 and not np.isfinite(value)):
+                continue
+            digits = _DIGITS.get(name)
+            payload[name] = value if digits is None else round(value,
+                                                                digits)
         return payload
+
+
+#: Decimal places of the rounded fields of a recommendation body.
+_DIGITS = {"threshold": 6, "max_concurrency": 3, "fit_r2": 4,
+           "knee_concurrency": 3, "knee_rate": 3}

@@ -63,7 +63,9 @@ class MetricsSnapshot:
     order the scrape first names them; the arrays are aligned with it.
     Utilization-only services read NaN concurrency and rate; the
     ``has_*`` masks tell which services report a utilization or an
-    allocation. ``time`` is the source-supplied logical timestamp, or
+    allocation. The first ``pairs`` services are the ones that carry
+    both a concurrency and a rate reading (NaN readings included).
+    ``time`` is the source-supplied logical timestamp, or
     ``None`` when the exposition carries no clock family — the control
     plane then assigns ingest order as the logical time, which keeps
     replay deterministic.
@@ -77,6 +79,7 @@ class MetricsSnapshot:
     has_utilization: np.ndarray
     allocation: np.ndarray
     has_allocation: np.ndarray
+    pairs: int
 
     @property
     def paired(self) -> np.ndarray:
@@ -196,7 +199,8 @@ def parse_metrics_snapshot(text: str,
         rate=np.array([rate[name] for name in paired] + unpaired,
                       dtype=np.float64),
         utilization=utilization_column, has_utilization=has_utilization,
-        allocation=allocation_column, has_allocation=has_allocation)
+        allocation=allocation_column, has_allocation=has_allocation,
+        pairs=len(paired))
 
 
 def parse_trace_batch(body: str | bytes) -> list[Span]:

@@ -38,11 +38,8 @@ def bursty_rate(t):
 class TestFrameworkConfig:
     @pytest.mark.parametrize("kwargs", [
         {"control_period": 0.0},
-        {"growth_factor": 1.0},
         {"min_allocation": 0},
         {"min_allocation": 10, "max_allocation": 5},
-        {"pressure_fraction": 1.5},
-        {"max_shrink_factor": 0.0},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

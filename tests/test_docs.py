@@ -9,6 +9,7 @@ that exists, and every public entry point of `repro.faults` and
 """
 
 import inspect
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,8 @@ import repro.obs
 import repro.service
 import repro.tracing
 import repro.validation
+from repro.core import policy
+from repro.obs.events import TargetDecision
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -96,3 +99,18 @@ def test_every_module_has_a_docstring():
         if text and not text.startswith(('"""', "'''", 'r"""')):
             missing.append(str(path.relative_to(REPO)))
     assert not missing, f"modules without a docstring: {missing}"
+
+
+def test_decision_reasons_match_the_policy():
+    # The record's docstring names every reason a decision can carry;
+    # the API doc's reason table names every reason a service round
+    # can emit. Both must track the policy's own tuples.
+    doc = inspect.getdoc(TargetDecision) or ""
+    paragraph = doc[doc.index("reason:"):doc.index("before / after:")]
+    assert set(re.findall(r'"([a-z-]+)"', paragraph)) == \
+        set(policy.REASONS)
+    api = (REPO / "docs" / "api.md").read_text(encoding="utf-8")
+    section = api[api.index("### Decision reasons"):]
+    section = section[:section.index("\n#", 1)]
+    table = re.findall(r"^\| `([a-z-]+)` \|", section, flags=re.MULTILINE)
+    assert sorted(table) == sorted(policy.ROUND_REASONS)

@@ -55,14 +55,15 @@ def trace_batch(count: int = 12, start: float = 0.0) -> str:
 
 
 def knee_snapshot(index: int) -> str:
-    """One scrape along a saturating goodput curve for cart."""
+    """One scrape along a saturating goodput curve for cart, from a
+    20-token pool that concurrency never pins."""
     rng = np.random.default_rng(100 + index)
     q = 1.0 + (index % 20)
     rate = max(0.0, 30.0 * q / (1.0 + q / 10.0)
                + rng.normal(0.0, 1.5))
     return render_snapshot(float(index + 1),
                            {"cart": 0.92, "front-end": 0.30},
-                           {"cart": q}, {"cart": rate}, {"cart": 5})
+                           {"cart": q}, {"cart": rate}, {"cart": 20})
 
 
 async def request(port: int, method: str, path: str,

@@ -57,7 +57,8 @@ def synthetic_trace(index: int, arrival: float,
 
 def knee_snapshots(plane: ControlPlane, count: int = 40,
                    knee: float = 10.0) -> None:
-    """Feed snapshots tracing a saturating goodput curve for cart."""
+    """Feed snapshots tracing a saturating goodput curve for cart, from
+    a 20-token pool that concurrency never pins."""
     rng = np.random.default_rng(11)
     for index in range(count):
         q = 1.0 + (index % 20)
@@ -65,7 +66,7 @@ def knee_snapshots(plane: ControlPlane, count: int = 40,
                    + rng.normal(0.0, 1.5))
         plane.ingest_metrics(render_snapshot(
             float(index + 1), {"cart": 0.92, "front-end": 0.30},
-            {"cart": q}, {"cart": rate}, {"cart": 5}))
+            {"cart": q}, {"cart": rate}, {"cart": 20}))
         if plane.pending >= plane.config.max_pending:
             plane.tick()
 
@@ -230,7 +231,9 @@ def test_estimate_workers_gauge_reports_the_round_parallelism(
                 float(index + 1), dict.fromkeys(services, 0.9),
                 dict.fromkeys(services, q),
                 {name: 30.0 * q / (1.0 + q / 8.0) + rng.normal(0.0, 1.5)
-                 for name in services}))
+                 for name in services},
+                # Unpinned pools, so that every series is estimated.
+                dict.fromkeys(services, 20)))
         plane.tick()
         return plane.decisions_jsonl()
 
@@ -243,6 +246,71 @@ def test_estimate_workers_gauge_reports_the_round_parallelism(
     blocked = ControlPlane(small_config(decide_top_k=0))
     assert run_rounds(blocked) == decisions
     assert "repro_service_estimate_workers 2" in blocked.openmetrics()
+
+
+def linear(q):
+    """A goodput curve still rising at the top of the observed range."""
+    return 10.0 * q
+
+
+def peak_at(level):
+    """A goodput curve that peaks at concurrency ``level``, then falls
+    as latency outgrows the threshold."""
+    def curve(q):
+        return 30.0 * q * np.exp(-q / level)
+    return curve
+
+
+def decide_cart(allocation: int, curve, cart_self: float | None = None):
+    """One round over 40 scrapes of cart cycling through concurrency
+    1..20 from a pool of ``allocation`` tokens, after 30 traces whose
+    cart spans take about ``cart_self`` seconds (none when ``None``)."""
+    plane = ControlPlane(small_config(decide_top_k=0))
+    if cart_self is not None:
+        plane.ingest_traces(export_traces(
+            [synthetic_trace(i, 0.5 * i, cart_self) for i in range(30)]))
+    for index in range(40):
+        q = 1.0 + index % 20
+        plane.ingest_metrics(render_snapshot(
+            float(index + 1), {"cart": 0.9}, {"cart": q},
+            {"cart": curve(q)}, {"cart": allocation}))
+    (decision,) = plane.tick().decisions
+    assert plane.recommendations["cart"].allocation == decision.after
+    assert plane.recommendations["cart"].before == allocation
+    return decision
+
+
+@pytest.mark.parametrize("allocation,curve,cart_self,reason,after", [
+    # Pinned pool, healthy processing: explore upward by 1.5x.
+    (4, linear, 0.2, "saturation-grow", 6),
+    # Pinned pool, processing past the threshold: shed to a quarter.
+    (8, linear, 0.5, "overload-shed", 2),
+    # Pinned pool, no processing evidence: growth cannot help.
+    (8, linear, None, "overload-shed", 2),
+    # Argmax at the top of a pressed range: censored, so explore ...
+    (20, linear, 0.2, "edge-grow", 30),
+    # ... unless processing already misses the threshold.
+    (20, linear, 0.5, "edge-shrink", 5),
+    # Demand never filled the pool: the edge proves nothing.
+    (40, linear, None, "edge-unpressed-hold", 40),
+    # A knee far below a pool that never came near full: hold.
+    (100, peak_at(5.0), None, "idle-hold", 100),
+], ids=["saturation-grow", "overload-shed", "overload-shed-no-spans",
+        "edge-grow", "edge-shrink", "edge-unpressed-hold", "idle-hold"])
+def test_round_applies_the_embedded_rules(allocation, curve, cart_self,
+                                          reason, after):
+    decision = decide_cart(allocation, curve, cart_self)
+    assert (decision.reason, decision.after) == (reason, after)
+    assert decision.outcome == ("hold" if after == allocation
+                                else "applied")
+
+
+def test_one_round_shrinks_at_most_to_a_quarter():
+    decision = decide_cart(32, peak_at(4.0))
+    assert decision.reason in ("knee", "argmax")
+    assert decision.knee_concurrency is None or \
+        decision.knee_concurrency < 8
+    assert decision.after == 8
 
 
 def test_utilization_only_series_are_screened_not_estimated():
@@ -360,6 +428,29 @@ def test_non_finite_allocation_is_rejected_before_any_mutation():
         1.0, {"front-end": 0.3}, {"cart": 3.0}, {"cart": 20.0},
         {"front-end": float("nan")}))
     assert plane.checkpoint()["series"]["front-end"]["allocation"] is None
+
+
+@pytest.mark.parametrize("family", ["sora_concurrency", "sora_goodput"])
+@pytest.mark.parametrize("value", ["NaN", "+Inf", "-Inf", "-3"])
+def test_bad_pair_reading_is_rejected_before_any_mutation(family, value):
+    plane = ControlPlane(small_config(decide_top_k=0))
+    plane.ingest_metrics(render_snapshot(
+        1.0, {"cart": 0.9}, {"cart": 3.0}, {"cart": 20.0}))
+    before = plane.checkpoint()
+    text = render_snapshot(2.0, {"cart": 0.9, "front-end": 0.3},
+                           {"aaa": 1.0, "cart": 3.0},
+                           {"aaa": 2.0, "cart": 20.0}).replace(
+        f'{family}{{service="cart"}} {"3" if "conc" in family else "20"}',
+        f'{family}{{service="cart"}} {value}')
+    assert value in text
+    with pytest.raises(IngestError) as excinfo:
+        plane.ingest_metrics(text)
+    assert excinfo.value.code == "bad-openmetrics"
+    assert "cart" in excinfo.value.detail
+    assert plane.checkpoint() == before
+    assert plane.pending == 1
+    # The next round still decides.
+    assert plane.tick().decisions
 
 
 def test_stale_utilization_only_snapshot_still_enriches():

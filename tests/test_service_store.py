@@ -8,11 +8,15 @@ to it the way the control plane did, stale-snapshot rejection
 included. Every window the store serves must equal the oracle's, bit
 for bit.
 
-The golden files under ``golden/service_checkpoint`` were written by
-that per-series implementation: a version-1 checkpoint cut after the
-first ``GOLDEN_CUT`` entries of :func:`golden_stimuli`, the journal
-tail after the cut (kept as written: span ids in the trace batches come
-from a process-wide counter), and the decision JSONL of the whole run.
+The golden files under ``golden/service_checkpoint`` hold a version-1
+checkpoint cut after the first ``GOLDEN_CUT`` entries of
+:func:`golden_stimuli`, the journal tail after the cut (kept as
+written: span ids in the trace batches come from a process-wide
+counter), and the decision JSONL of the whole run. The per-series
+implementation wrote the tail and ``checkpoint_without_processing.json``,
+a checkpoint from before the plane kept span processing times; the
+plane's shared adaptation policy wrote ``checkpoint.json`` and the
+decisions, with series state identical to the older checkpoint's.
 """
 
 import json
@@ -349,6 +353,26 @@ def test_journal_tail_after_golden_checkpoint_replays_decisions():
     decisions = (GOLDEN / "decisions.jsonl").read_text()
     assert plane.decisions_jsonl() == decisions
     assert '"outcome": "applied"' in decisions
+
+
+def test_checkpoint_without_processing_times_restores():
+    # Written before the plane kept span processing times: each of its
+    # traces restores with no processing evidence, the rest exactly.
+    payload = json.loads(
+        (GOLDEN / "checkpoint_without_processing.json").read_text())
+    plane = ControlPlane(golden_config())
+    plane.restore(payload["state"])
+    state = plane.checkpoint()
+    assert state.pop("processing") == \
+        [[]] * len(payload["state"]["budgets"])
+    assert json.dumps(state, sort_keys=True) == \
+        json.dumps(payload["state"], sort_keys=True)
+    plane.seed_decisions(payload["decisions"])
+    rounds = plane.rounds
+    apply(plane, golden_tail())
+    assert plane.rounds > rounds
+    assert len(plane.decisions_jsonl().splitlines()) > \
+        len(payload["decisions"])
 
 
 def test_live_run_writes_the_golden_checkpoint():
