@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.tracing.critical_path import extract_critical_path
 from repro.tracing.span import Span
+from repro.tracing.warehouse import TraceWindow
 
 
 @dataclass(frozen=True)
@@ -40,18 +40,6 @@ class PropagatedDeadline:
     upstream_budget: float
     threshold: float
     samples: int
-
-
-def propagate_for_trace(root: Span, service: str,
-                        sla: float) -> float | None:
-    """Propagated threshold for ``service`` from one trace, or ``None``
-    if the service is not on the trace's critical path."""
-    path = extract_critical_path(root)
-    if service not in path:
-        return None
-    upstream = path.upstream_of(service)
-    budget = sum(span.self_time() for span in upstream)
-    return sla - budget
 
 
 def check_floor_fraction(floor_fraction: float) -> None:
@@ -90,15 +78,23 @@ class DeadlinePropagator:
                   service: str) -> PropagatedDeadline:
         """Mean-upstream-budget propagation over a trace window.
 
-        With no applicable traces the full SLA is returned (a service
-        with no observed upstreams keeps the whole budget).
+        Each trace whose critical path crosses ``service`` contributes
+        ``sla - upstream_budget`` of the service's first hop on it. With
+        no applicable traces the full SLA is returned (a service with no
+        observed upstreams keeps the whole budget).
         """
-        thresholds = []
-        for root in traces:
-            value = propagate_for_trace(root, service, self.sla)
-            if value is not None:
-                thresholds.append(value)
-        if not thresholds:
+        window = TraceWindow.of(traces)
+        sid = window.service_id(service)
+        thresholds = np.empty(0)
+        if sid is not None:
+            # The service's first hop on each path it crossed; its
+            # threshold is the SLA minus that hop's upstream budget.
+            hops = np.flatnonzero(window.hop_service == sid)
+            owners = window.owner[hops]
+            first = np.ones(hops.size, dtype=bool)
+            first[1:] = owners[1:] != owners[:-1]
+            thresholds = self.sla - window.hop_upstream[hops[first]]
+        if not thresholds.size:
             return PropagatedDeadline(
                 service=service, sla=self.sla, upstream_budget=0.0,
                 threshold=self.sla, samples=0)
@@ -108,4 +104,4 @@ class DeadlinePropagator:
             upstream_budget=self.sla - mean_threshold,
             threshold=clamp_threshold(mean_threshold, self.sla,
                                       self.floor_fraction),
-            samples=len(thresholds))
+            samples=int(thresholds.size))

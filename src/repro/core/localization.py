@@ -20,12 +20,13 @@ from __future__ import annotations
 
 import logging
 import typing as _t
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.analysis.correlation import pearson
-from repro.tracing.critical_path import extract_critical_path
 from repro.tracing.span import Span
+from repro.tracing.warehouse import TraceWindow
 
 logger = logging.getLogger(__name__)
 
@@ -75,30 +76,38 @@ class CriticalServiceLocator:
     def locate(self, traces: _t.Sequence[Span],
                utilizations: dict[str, float]) -> LocalizationReport:
         """Analyze ``traces`` (finished roots) plus a utilization
-        snapshot and nominate the critical service."""
+        snapshot and nominate the critical service.
+
+        A :class:`~repro.tracing.warehouse.TraceWindow` from the
+        warehouse already carries its critical-path columns; any other
+        sequence of roots has its paths extracted here.
+        """
         if not traces:
             return LocalizationReport(
                 critical_service=None, dominant_path=(),
                 utilizations=dict(utilizations))
 
-        # Per-trace critical paths; collect (PT_s, RT_CP) sample pairs.
-        path_counter: Counter[tuple[str, ...]] = Counter()
-        processing: dict[str, list[float]] = defaultdict(list)
-        path_durations: dict[str, list[float]] = defaultdict(list)
-        for root in traces:
-            path = extract_critical_path(root)
-            path_counter[path.services] += 1
-            duration = path.duration
-            for span in path.spans:
-                processing[span.service].append(span.self_time())
-                path_durations[span.service].append(duration)
-
-        dominant_path = path_counter.most_common(1)[0][0]
-        correlations = {
-            service: pearson(processing[service], path_durations[service])
-            for service in processing
-            if service not in self.exclude
-        }
+        # The window's path census, in first-occurrence order (a
+        # Counter's order, so ties go to the earliest path).
+        window = TraceWindow.of(traces)
+        ids, first, counts = np.unique(window.path, return_index=True,
+                                       return_counts=True)
+        path_frequencies = {window.paths[ids[k]]: int(counts[k])
+                            for k in np.argsort(first).tolist()}
+        dominant_path = max(path_frequencies,
+                            key=path_frequencies.__getitem__)
+        # (PT_s, RT_CP) sample pairs per service, trace by trace and hop
+        # by hop, services in order of first occurrence.
+        hop_service = window.hop_service
+        hop_duration = window.duration[window.owner]
+        ids, first = np.unique(hop_service, return_index=True)
+        correlations = {}
+        for sid in ids[np.argsort(first)].tolist():
+            service = window.services[sid]
+            if service not in self.exclude:
+                hops = hop_service == sid
+                correlations[service] = pearson(
+                    window.hop_processing[hops], hop_duration[hops])
         candidates = tuple(
             service for service, value in utilizations.items()
             if value >= self.utilization_threshold
@@ -119,7 +128,7 @@ class CriticalServiceLocator:
             correlations=correlations,
             utilizations=dict(utilizations),
             candidates=candidates,
-            path_frequencies=dict(path_counter),
+            path_frequencies=path_frequencies,
         )
 
     def locate_from_aggregate(

@@ -231,7 +231,8 @@ class ScatterCurveModel:
 
         Returns:
             One entry per window, ``None`` where :meth:`estimate` would
-            return ``None``.
+            return ``None``: too few samples or levels, or a highest
+            level that overflows when raised to ``max_degree``.
         """
         if thresholds is None:
             thresholds = [None] * len(windows)
@@ -266,13 +267,21 @@ class ScatterCurveModel:
             owner[busy], quantized, rate[busy])
         sizes = np.bincount(level_owner, minlength=count)
         offsets = np.cumsum(sizes) - sizes
+        # A window whose highest level overflows at the top degree
+        # would turn the stacked fit's scaled powers to inf and NaN and
+        # fail its whole stack; it gets no estimate instead.
+        top = np.zeros(count)
+        levelled = sizes > 0
+        top[levelled] = all_levels[offsets[levelled] + sizes[levelled] - 1]
+        with np.errstate(over="ignore"):
+            representable = np.isfinite(top ** config.max_degree)
         # A degree close to the number of aggregated levels
         # interpolates the noise instead of smoothing it (wild
         # oscillation between levels); keep at least one excess degree
         # of freedom.
         usable = ((sizes >= config.min_distinct) &
                   (np.minimum(config.max_degree, sizes - 2) >=
-                   config.min_degree))
+                   config.min_degree) & representable)
         workers = _worker_count()
         for size in np.unique(sizes[usable]):
             positions = np.flatnonzero(usable & (sizes == size))

@@ -233,14 +233,9 @@ class ControlPlane:
         with self.flight.phase("ingest.traces"):
             roots = parse_trace_batch(body)
             for root in roots:
-                self.analytics.observe(root)
                 path = extract_critical_path(root)
-                budgets: dict[str, float] = {}
-                upstream = 0.0
-                for span in path.spans:
-                    budgets[span.service] = upstream
-                    upstream += span.self_time()
-                self._budgets.append(budgets)
+                self.analytics.observe(root, path)
+                self._budgets.append(dict(zip(path.services, path.upstream)))
                 self._processing.append(tuple(
                     (span.service, span.departure,
                      span.departure - span.started)

@@ -1,9 +1,10 @@
 """Distributed tracing substrate (Jaeger/Zipkin stand-in).
 
 Spans record per-service arrival/departure timestamps; the
-:class:`TraceWarehouse` indexes finished traces for the SCG model's
-fine-grained metric extraction; :func:`extract_critical_path` finds the
-maximal-duration root-to-leaf chain of a request call tree. For runs
+:class:`TraceWarehouse` stores finished traces with their critical
+paths as columns, which windowed localization and propagation reduce;
+:func:`extract_critical_path` finds the maximal-duration root-to-leaf
+chain of a request call tree. For runs
 too large to store every trace, :mod:`repro.tracing.sampling` provides
 head/tail samplers and :mod:`repro.tracing.analytics` a streaming
 critical-path aggregator that preserves the localization signal on
@@ -35,7 +36,7 @@ from repro.tracing.sampling import (
     sampler_stream,
 )
 from repro.tracing.span import Span
-from repro.tracing.warehouse import TraceWarehouse
+from repro.tracing.warehouse import TraceWarehouse, TraceWindow
 
 __all__ = [
     "CriticalPath",
@@ -49,6 +50,7 @@ __all__ = [
     "TopKPaths",
     "TraceSampler",
     "TraceWarehouse",
+    "TraceWindow",
     "critical_path_frequencies",
     "export_traces",
     "extract_critical_path",

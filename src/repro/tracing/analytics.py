@@ -1,8 +1,8 @@
 """Streaming critical-path analytics (CRISP-style aggregation).
 
-The exhaustive pipeline — warehouse stores every trace, localization
-re-walks every call tree per control round — does not survive sampling
-or fleet-scale trace volume. This module folds each finished trace's
+The exhaustive pipeline — the warehouse stores every trace and
+localization reduces a window of them per control round — does not
+survive sampling or fleet-scale trace volume. This module folds each finished trace's
 critical path into bounded-memory aggregates *before* any sampling
 decision, so localization and the explainability report can run off
 aggregates even when the warehouse stores 5% of traces:
@@ -32,7 +32,7 @@ import math
 import typing as _t
 
 from repro.obs.sketch import QuantileSketch
-from repro.tracing.critical_path import extract_critical_path
+from repro.tracing.critical_path import CriticalPath, extract_critical_path
 from repro.tracing.span import Span
 
 #: Quantiles tracked by every sketch in the aggregator.
@@ -235,9 +235,15 @@ class CriticalPathAggregator:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def observe(self, root: Span) -> None:
-        """Fold one finished trace's critical path into the aggregates."""
-        path = extract_critical_path(root)
+    def observe(self, root: Span,
+                path: CriticalPath | None = None) -> None:
+        """Fold one finished trace's critical path into the aggregates.
+
+        ``path`` is the trace's already extracted critical path, if the
+        caller has it (the warehouse and the control plane do).
+        """
+        if path is None:
+            path = extract_critical_path(root)
         duration = path.duration
         departed = _t.cast(float, root.departure)
         self.traces_observed += 1
@@ -254,9 +260,7 @@ class CriticalPathAggregator:
         contribution = self.contribution
         pearson = self._pearson
         slowest_by_service = self.slowest_by_service
-        for span in path.spans:
-            service = span.service
-            pt = span.self_time()
+        for service, pt in zip(path.services, path.processing):
             sketch = self_time.get(service)
             if sketch is None:
                 sketch = self_time[service] = QuantileSketch(

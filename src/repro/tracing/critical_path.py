@@ -8,93 +8,114 @@ span, descend into the child whose completion *determines* the parent's
 critical timing — the longest child among each group of time-overlapping
 (parallel) children; with purely sequential children, the longest child
 is the one that dominates the parent's variability.
+
+:func:`extract_critical_path` computes everything the SCG phases read
+off a path in the same walk: the dominant child and the span's self
+time (:meth:`Span.self_time`) come from one sort of its finished
+children by arrival, and the upstream budget of each hop is summed as
+the walk descends.
 """
 
 from __future__ import annotations
 
 import typing as _t
-from dataclasses import dataclass
+from operator import attrgetter
 
 from repro.tracing.span import Span
 
+_arrival = attrgetter("arrival")
 
-@dataclass(frozen=True)
-class CriticalPath:
-    """An ordered root-to-leaf chain of spans with timing attribution."""
+
+class CriticalPath(_t.NamedTuple):
+    """An ordered root-to-leaf chain of spans with timing attribution.
+
+    Attributes:
+        spans: the chain, root first.
+        services: service names along the chain.
+        processing: per-hop processing time :math:`PT_{s_i}` (the
+            span's downstream-excluded self time).
+        upstream: per-hop sum of the processing times above the hop,
+            added left to right from 0 (the hop's upstream budget).
+        duration: end-to-end duration of the path (root residence
+            time, :math:`RT_{CP}`).
+    """
 
     spans: tuple[Span, ...]
-
-    @property
-    def services(self) -> tuple[str, ...]:
-        """Service names along the path, root first."""
-        return tuple(span.service for span in self.spans)
-
-    @property
-    def duration(self) -> float:
-        """End-to-end duration of the path (root residence time)."""
-        return self.spans[0].duration
+    services: tuple[str, ...]
+    processing: tuple[float, ...]
+    upstream: tuple[float, ...]
+    duration: float
 
     def self_times(self) -> dict[str, float]:
         """Per-service processing time (:math:`PT_{s_i}`) along the path."""
-        return {span.service: span.self_time() for span in self.spans}
-
-    def upstream_of(self, service: str) -> tuple[Span, ...]:
-        """Spans strictly above ``service`` on the path (its upstreams)."""
-        result: list[Span] = []
-        for span in self.spans:
-            if span.service == service:
-                return tuple(result)
-            result.append(span)
-        raise ValueError(f"{service!r} is not on this critical path")
-
-    def __contains__(self, service: str) -> bool:
-        return any(span.service == service for span in self.spans)
-
-
-def _dominant_child(span: Span) -> Span | None:
-    """The child that contributes most to this span's critical timing."""
-    finished = [c for c in span.children if c.finished]
-    if not finished:
-        return None
-    # Group children into overlapping (parallel) clusters; the cluster
-    # ending last gates the parent's completion, and within it the
-    # longest child is critical.
-    finished.sort(key=lambda c: c.arrival)
-    clusters: list[list[Span]] = []
-    cluster_end = -float("inf")
-    for child in finished:
-        if not clusters or child.arrival >= cluster_end:
-            clusters.append([child])
-            cluster_end = _t.cast(float, child.departure)
-        else:
-            clusters[-1].append(child)
-            cluster_end = max(cluster_end, _t.cast(float, child.departure))
-    last_cluster = clusters[-1]
-    return max(last_cluster, key=lambda c: c.duration)
+        return dict(zip(self.services, self.processing))
 
 
 def extract_critical_path(root: Span) -> CriticalPath:
     """Walk the call tree from ``root`` and return its critical path.
 
-    The result is memoized on the root span: a finished trace is
-    immutable, and the SCG analysis windows overlap, so deadline
-    propagation and localization would otherwise re-walk the same call
-    trees every adaptation cycle.
+    Each span on the path sorts its finished children by arrival once.
+    One sweep over them merges their intervals (the span's self time is
+    its duration minus their union, as :meth:`Span.self_time` computes
+    it) and groups them into overlapping clusters: the cluster ending
+    last gates the span's completion, and its longest child (the first
+    of equals) is the next hop. Unfinished children are ignored.
     """
-    cached = root._critical_path
-    if cached is not None:
-        return cached
-    if not root.finished:
+    if root.departure is None:
         raise ValueError("trace is not finished")
-    chain = [root]
+    spans = []
+    services = []
+    processing = []
+    upstream = []
+    budget = 0.0
     node: Span | None = root
     while node is not None:
-        node = _dominant_child(node)
-        if node is not None:
-            chain.append(node)
-    path = CriticalPath(spans=tuple(chain))
-    root._critical_path = path
-    return path
+        spans.append(node)
+        services.append(node.service)
+        children = node.children
+        covered = 0.0
+        dominant = None
+        if len(children) == 1:
+            # The common hop: one call, which is the path if it ended.
+            if children[0].departure is not None:
+                dominant = children[0]
+                covered += dominant.departure - dominant.arrival
+        elif children:
+            finished = [child for child in children
+                        if child.departure is not None]
+            if finished:
+                finished.sort(key=_arrival)
+                dominant = finished[0]
+                cursor = dominant.arrival
+                cursor_end = cluster_end = dominant.departure
+                longest = cursor_end - cursor
+                for child in finished[1:]:
+                    start, end = child.arrival, child.departure
+                    # Interval union: a gap closes the covered run.
+                    if start > cursor_end:
+                        covered += cursor_end - cursor
+                        cursor, cursor_end = start, end
+                    elif end > cursor_end:
+                        cursor_end = end
+                    # Clusters: an arrival at or after the cluster's
+                    # end opens the next one.
+                    length = end - start
+                    if start >= cluster_end:
+                        cluster_end = end
+                        dominant, longest = child, length
+                    else:
+                        if end > cluster_end:
+                            cluster_end = end
+                        if length > longest:
+                            dominant, longest = child, length
+                covered += cursor_end - cursor
+        own = max(0.0, (node.departure - node.arrival) - covered)
+        processing.append(own)
+        upstream.append(budget)
+        budget += own
+        node = dominant
+    return CriticalPath(tuple(spans), tuple(services), tuple(processing),
+                        tuple(upstream), root.departure - root.arrival)
 
 
 def critical_path_frequencies(

@@ -28,7 +28,7 @@ class Span:
     __slots__ = (
         "span_id", "trace_id", "service", "replica", "operation",
         "parent", "children", "arrival", "started", "departure",
-        "cancelled", "_critical_path",
+        "cancelled",
     )
 
     def __init__(self, trace_id: int, service: str, operation: str,
@@ -36,9 +36,6 @@ class Span:
                  replica: str | None = None,
                  span_id: int | None = None) -> None:
         self.span_id = span_id if span_id is not None else next(_span_ids)
-        #: Memoized critical path when this span is a finished trace
-        #: root (see :func:`repro.tracing.extract_critical_path`).
-        self._critical_path = None
         self.trace_id = trace_id
         self.service = service
         self.operation = operation

@@ -13,7 +13,10 @@ the simulator consume:
 - :func:`workload_traces` — parametrized bursty traces from the
   paper's six shapes;
 - :func:`linear_trace` — synthetic finished span trees with exact,
-  chosen per-service self times (for deadline-propagation relations).
+  chosen per-service self times (for deadline-propagation relations);
+- :func:`call_trees` — random finished call trees with parallel and
+  overlapping children, unfinished and cancelled spans, and services
+  repeated along a path (for critical-path extraction).
 """
 
 from __future__ import annotations
@@ -169,6 +172,44 @@ def linear_trace(self_times: _t.Sequence[float],
         parent = span
         cursor = arrival + self_time / 2.0
     return spans[0]
+
+
+@st.composite
+def call_trees(draw: st.DrawFn, services: _t.Sequence[str] = (
+        "fe", "cart", "db", "cache"), max_depth: int = 3,
+        max_children: int = 4, tick: float = 0.001) -> Span:
+    """A finished root span over a random call tree.
+
+    Times are whole multiples of ``tick``, so children often arrive
+    together or exactly when a sibling departs (the tie cases of
+    critical-path clustering). Children may overlap, outlive nothing
+    (each departs within its parent), stay unfinished (no departure),
+    or be cancelled. Service names come from the small ``services``
+    alphabet, so one service can sit twice on a path and another off
+    it. The root departs at a drawn time, so a list of trees spreads
+    over a window.
+    """
+    trace_id = draw(st.integers(1, 2 ** 20))
+
+    def build(parent: Span | None, arrival: int, length: int,
+              depth: int) -> Span:
+        span = Span(trace_id, draw(st.sampled_from(services)), "op",
+                    arrival * tick, parent=parent)
+        span.started = arrival * tick
+        if parent is not None and draw(st.integers(0, 7)) == 0:
+            return span  # unfinished: still running when its root left
+        span.departure = (arrival + length) * tick
+        span.cancelled = parent is not None and draw(
+            st.integers(0, 7)) == 0
+        if depth > 0 and length > 1:
+            for _ in range(draw(st.integers(0, max_children))):
+                offset = draw(st.integers(0, length - 1))
+                build(span, arrival + offset,
+                      draw(st.integers(0, length - offset)), depth - 1)
+        return span
+
+    start = draw(st.integers(0, 200))
+    return build(None, start, draw(st.integers(1, 60)), max_depth)
 
 
 # ----------------------------------------------------------------------

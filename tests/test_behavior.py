@@ -14,6 +14,7 @@ from repro.app.behavior import (
     Parallel,
     Quorum,
 )
+from repro.core.deadline import DeadlinePropagator
 from repro.sim import Constant
 from repro.tracing import Span, extract_critical_path
 
@@ -188,7 +189,11 @@ class TestCriticalPathProperties:
               suppress_health_check=[HealthCheck.too_slow])
     @given(root=span_trees())
     def test_upstream_partition(self, root):
+        # The leaf's upstream budget is every hop above it on the path.
         path = extract_critical_path(root)
         last = path.spans[-1]
-        upstream = path.upstream_of(last.service)
-        assert len(upstream) == len(path.spans) - 1
+        deadline = DeadlinePropagator(sla=100.0).propagate(
+            [root], last.service)
+        assert deadline.samples == 1
+        assert deadline.upstream_budget == pytest.approx(
+            sum(span.self_time() for span in path.spans[:-1]))

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import CriticalServiceLocator, DeadlinePropagator
-from repro.core.deadline import propagate_for_trace
 from repro.tracing import Span
 
 
@@ -86,19 +85,26 @@ class TestDeadlinePropagation:
         # cart threshold 18.
         root = chain_trace(1, [("front-end", 0.0, 10.0),
                                ("cart", 1.0, 9.0)])
-        assert propagate_for_trace(root, "cart", 20.0) == pytest.approx(
-            18.0)
+        deadline = DeadlinePropagator(sla=20.0).propagate([root], "cart")
+        assert deadline.threshold == pytest.approx(18.0)
+        assert deadline.upstream_budget == pytest.approx(2.0)
+        assert deadline.samples == 1
 
     def test_service_not_on_path_returns_none(self):
         root = chain_trace(1, [("front-end", 0.0, 10.0),
                                ("cart", 1.0, 9.0)])
-        assert propagate_for_trace(root, "catalogue", 20.0) is None
+        deadline = DeadlinePropagator(sla=20.0).propagate(
+            [root], "catalogue")
+        assert deadline.samples == 0
+        assert deadline.threshold == 20.0
 
     def test_root_service_keeps_full_sla(self):
         root = chain_trace(1, [("front-end", 0.0, 10.0),
                                ("cart", 1.0, 9.0)])
-        assert propagate_for_trace(root, "front-end", 20.0) == \
-            pytest.approx(20.0)
+        deadline = DeadlinePropagator(sla=20.0).propagate(
+            [root], "front-end")
+        assert deadline.threshold == pytest.approx(20.0)
+        assert deadline.samples == 1
 
     def test_window_mean(self):
         traces = [

@@ -1,6 +1,7 @@
 """Tests for the SCG and SCT scatter-curve models."""
 
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -329,6 +330,31 @@ class TestRowBlocks:
                 if estimate is not None} == {"knee", "argmax"}
         for one_of_many, alone in zip(batched, singles):
             assert_same_estimate(one_of_many, alone)
+
+    @pytest.mark.parametrize("workers", [1, 2, 7])
+    def test_an_overflowing_window_leaves_the_others_alone(
+            self, monkeypatch, workers):
+        # Levels whose top power overflows would turn the stacked fit's
+        # scaled powers to inf and NaN; such a window gets no estimate,
+        # and every other window keeps the bits of a clean-only call.
+        monkeypatch.setattr(scg, "MIN_BLOCK_ROWS", 2)
+        monkeypatch.setattr(scg, "_worker_count", lambda: workers)
+        clean = self.windows()
+        q, gp = saturating_pairs(np.random.default_rng(5))
+        poisoned = list(clean)
+        bad = (3, 30, 45)
+        for index, scale in zip(bad, (1e39, 1e300, np.inf)):
+            poisoned.insert(index, (q * scale, gp))
+        model = SCGModel()
+        with np.errstate(invalid="ignore"):
+            mixed = model.estimate_many(poisoned)
+            alone = model.estimate_many(clean)
+        assert [mixed[index] for index in bad] == [None, None, None]
+        rest = [estimate for index, estimate in enumerate(mixed)
+                if index not in bad]
+        assert pickle.dumps(rest) == pickle.dumps(alone)
+        for one, other in zip(rest, alone):
+            assert_same_estimate(one, other)
 
     def test_pool_threads_keep_the_callers_error_state(self, monkeypatch):
         monkeypatch.setattr(scg, "MIN_BLOCK_ROWS", 2)

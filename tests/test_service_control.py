@@ -518,6 +518,45 @@ def test_audit_replay_is_byte_identical(tmp_path):
     assert "byte-identical" in detail
 
 
+def test_an_overflowing_series_leaves_the_others_decided(tmp_path):
+    # "bad" reports cart's curve at 1e39 times the concurrency (finite,
+    # so ingest accepts it). The round still decides every series, and
+    # cart gets the recommendation a plane without "bad" gives it.
+    config = small_config(decide_top_k=0)
+    journal_path = tmp_path / "journal.jsonl"
+    journal = AuditJournal(journal_path)
+    plane, clean = ControlPlane(config), ControlPlane(config)
+    rng = np.random.default_rng(11)
+    for index in range(40):
+        q = 1.0 + (index % 20)
+        rate = max(0.0, 30.0 * q / (1.0 + q / 10.0)
+                   + rng.normal(0.0, 1.5))
+        body = render_snapshot(
+            float(index + 1), {"cart": 0.92, "bad": 0.92},
+            {"cart": q, "bad": q * 1e39}, {"cart": rate, "bad": rate},
+            {"cart": 20, "bad": 20})
+        plane.ingest_metrics(body)
+        journal.record("metrics", plane.now, body)
+        clean.ingest_metrics(render_snapshot(
+            float(index + 1), {"cart": 0.92}, {"cart": q},
+            {"cart": rate}, {"cart": 20}))
+        if plane.pending >= config.max_pending:
+            record = plane.tick()
+            journal.record("tick", record.time)
+            clean.tick()
+    record = plane.tick()
+    journal.record("tick", record.time)
+    clean.tick()
+    journal.close()
+    assert {decision.target for decision in record.decisions} == {
+        "bad", "cart"}
+    assert plane.recommendations["bad"].method == "overload-shed"
+    assert plane.recommendations["cart"] == clean.recommendations["cart"]
+    assert plane.recommendations["cart"].method in ("knee", "argmax")
+    replayed = replay_journal(read_journal(journal_path), config)
+    assert replayed.decisions_jsonl() == plane.decisions_jsonl()
+
+
 def test_replay_detects_tampered_decisions(tmp_path):
     config = small_config()
     journal_path = tmp_path / "journal.jsonl"

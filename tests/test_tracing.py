@@ -104,21 +104,22 @@ class TestCriticalPath:
             extract_critical_path(root)
 
     def test_upstream_of(self):
+        # Self times: front-end 2, cart 3, cart-db 5; each hop's
+        # upstream budget sums the hops above it.
         root = make_span("front-end", 0.0, 10.0)
         cart = make_span("cart", 1.0, 9.0, parent=root)
         make_span("cart-db", 2.0, 7.0, parent=cart)
         path = extract_critical_path(root)
-        assert [s.service for s in path.upstream_of("cart")] == ["front-end"]
-        assert path.upstream_of("front-end") == ()
-        with pytest.raises(ValueError):
-            path.upstream_of("not-there")
+        assert path.processing == pytest.approx((2.0, 3.0, 5.0))
+        assert path.upstream == pytest.approx((0.0, 2.0, 5.0))
+        assert path.upstream[0] == 0.0
 
     def test_contains(self):
         root = make_span("front-end", 0.0, 10.0)
         make_span("cart", 1.0, 9.0, parent=root)
         path = extract_critical_path(root)
-        assert "cart" in path
-        assert "catalogue" not in path
+        assert "cart" in path.services
+        assert "catalogue" not in path.services
 
     def test_self_times_exclude_downstream(self):
         root = make_span("front-end", 0.0, 10.0)

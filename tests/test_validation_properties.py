@@ -21,7 +21,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.queueing import Station, solve_mva
-from repro.core.deadline import DeadlinePropagator, propagate_for_trace
+from repro.core.deadline import DeadlinePropagator
 from repro.core.scg import SCGModel
 from repro.sim import Environment, RandomStreams
 from repro.validation import InvariantChecker, InvariantViolation
@@ -120,13 +120,16 @@ def test_deadline_propagation_monotone_in_upstream_time(
     shrink the downstream threshold, by exactly the inflation."""
     upstream_index %= len(self_times) - 1
     target = f"svc{len(self_times) - 1}"
-    base = propagate_for_trace(linear_trace(self_times), target, sla)
-    assert base == pytest.approx(sla - sum(self_times[:-1]))
+    propagator = DeadlinePropagator(sla)
+    base = propagator.propagate([linear_trace(self_times)], target)
+    assert base.upstream_budget == pytest.approx(sum(self_times[:-1]))
 
     bumped_times = list(self_times)
     bumped_times[upstream_index] += bump
-    bumped = propagate_for_trace(linear_trace(bumped_times), target, sla)
-    assert bumped == pytest.approx(base - bump)
+    bumped = propagator.propagate([linear_trace(bumped_times)], target)
+    assert bumped.upstream_budget == pytest.approx(
+        base.upstream_budget + bump)
+    assert bumped.threshold <= base.threshold
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=SUPPRESS)
