@@ -182,9 +182,9 @@ def call_trees(draw: st.DrawFn, services: _t.Sequence[str] = (
 
     Times are whole multiples of ``tick``, so children often arrive
     together or exactly when a sibling departs (the tie cases of
-    critical-path clustering). Children may overlap, outlive nothing
-    (each departs within its parent), stay unfinished (no departure),
-    or be cancelled. Service names come from the small ``services``
+    critical-path clustering). Children may overlap one another (each
+    departs within its parent), stay unfinished (no departure), or be
+    cancelled. Service names come from the small ``services``
     alphabet, so one service can sit twice on a path and another off
     it. The root departs at a drawn time, so a list of trees spreads
     over a window.
