@@ -28,7 +28,6 @@ an observability concern that must never change simulated outcomes.
 
 from __future__ import annotations
 
-import itertools
 import typing as _t
 from operator import attrgetter
 
@@ -150,7 +149,11 @@ class _Columns:
         self.hop_service = np.empty(_HOP_ROWS, dtype=np.int32)
         self.hop_processing = np.empty(_HOP_ROWS)
         self.hop_upstream = np.empty(_HOP_ROWS)
-        self._staged: list[tuple[Span, CriticalPath]] = []
+        #: Staged traces as plain lists: roots, departures, durations
+        #: and path ids, then the hops' service ids, self times and
+        #: upstream budgets. Only the values are kept, so an extracted
+        #: path is garbage as soon as it is appended.
+        self._staged: tuple[list, ...] = ([], [], [], [], [], [], [])
         #: Interned paths, and path -> (id, its hops' service ids).
         self.paths: list[tuple[str, ...]] = []
         self._path_ids: dict[tuple[str, ...],
@@ -159,7 +162,7 @@ class _Columns:
         self._service_ids: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self.roots) - self.head + len(self._staged)
+        return len(self.roots) - self.head + len(self._staged[0])
 
     def departures(self) -> np.ndarray:
         """Root departures of the live rows."""
@@ -172,41 +175,45 @@ class _Columns:
 
     def append(self, root: Span, path: CriticalPath) -> None:
         """Add one trace after the others."""
-        staged = self._staged
-        staged.append((root, path))
-        if len(staged) >= _STAGED_ROWS:
+        (roots, departures, durations, path_ids, services, processing,
+         upstream) = self._staged
+        entry = self._path_ids.get(path.services)
+        if entry is None:
+            entry = self._intern(path.services)
+        roots.append(root)
+        departures.append(root.departure)
+        durations.append(path.duration)
+        path_ids.append(entry[0])
+        services.extend(entry[1])
+        processing.extend(path.processing)
+        upstream.extend(path.upstream)
+        if len(roots) >= _STAGED_ROWS:
             self._flush()
 
     def _flush(self) -> None:
         """Write the staged traces after the live rows."""
-        staged = self._staged
-        if not staged:
+        (roots, departures, durations, path_ids, services, processing,
+         upstream) = self._staged
+        if not roots:
             return
-        paths = [path for _root, path in staged]
-        lengths = [len(path.services) for path in paths]
-        count, hops = len(staged), sum(lengths)
+        count, hops = len(roots), len(services)
         if (len(self.roots) + count > self.departure.size
                 or self.hops + hops > self.hop_service.size):
             self._rebuild(None, count, hops)
-        ids = self._path_ids
-        entries = [ids.get(path.services) or self._intern(path.services)
-                   for path in paths]
         tail, hop = len(self.roots), self.hops
         rows, hop_rows = slice(tail, tail + count), slice(hop, hop + hops)
-        self.departure[rows] = [root.departure for root, _path in staged]
-        self.duration[rows] = [path.duration for path in paths]
-        self.path[rows] = [entry[0] for entry in entries]
+        lengths = np.array([len(path) for path in self.paths])[path_ids]
+        self.departure[rows] = departures
+        self.duration[rows] = durations
+        self.path[rows] = path_ids
         self.hop_start[rows] = np.cumsum(lengths) - lengths + hop
-        chain = itertools.chain.from_iterable
-        self.hop_service[hop_rows] = list(chain(
-            entry[1] for entry in entries))
-        self.hop_processing[hop_rows] = list(chain(
-            path.processing for path in paths))
-        self.hop_upstream[hop_rows] = list(chain(
-            path.upstream for path in paths))
-        self.roots.extend(root for root, _path in staged)
+        self.hop_service[hop_rows] = services
+        self.hop_processing[hop_rows] = processing
+        self.hop_upstream[hop_rows] = upstream
+        self.roots.extend(roots)
         self.hops += hops
-        staged.clear()
+        for column in self._staged:
+            column.clear()
 
     def _intern(self, services: tuple[str, ...]
                 ) -> tuple[int, tuple[int, ...]]:
