@@ -231,8 +231,9 @@ class ScatterCurveModel:
 
         Returns:
             One entry per window, ``None`` where :meth:`estimate` would
-            return ``None``: too few samples or levels, or a highest
-            level that overflows when raised to ``max_degree``.
+            return ``None``: too few samples or levels, or levels
+            whose squared ``max_degree``-th powers overflow when
+            summed.
         """
         if thresholds is None:
             thresholds = [None] * len(windows)
@@ -267,14 +268,17 @@ class ScatterCurveModel:
             owner[busy], quantized, rate[busy])
         sizes = np.bincount(level_owner, minlength=count)
         offsets = np.cumsum(sizes) - sizes
-        # A window whose highest level overflows at the top degree
-        # would turn the stacked fit's scaled powers to inf and NaN and
-        # fail its whole stack; it gets no estimate instead.
+        # The stacked fit scales each power column by its norm, the
+        # square root of a sum of up to ``size`` level**(2 * degree)
+        # terms. A window where that sum overflows at the top degree
+        # would turn the column to inf or 0 and fail its whole stack;
+        # it gets no estimate instead.
         top = np.zeros(count)
         levelled = sizes > 0
         top[levelled] = all_levels[offsets[levelled] + sizes[levelled] - 1]
         with np.errstate(over="ignore"):
-            representable = np.isfinite(top ** config.max_degree)
+            representable = np.isfinite(
+                sizes * top ** (2 * config.max_degree))
         # A degree close to the number of aggregated levels
         # interpolates the noise instead of smoothing it (wild
         # oscillation between levels); keep at least one excess degree

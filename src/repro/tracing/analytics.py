@@ -32,7 +32,7 @@ import math
 import typing as _t
 
 from repro.obs.sketch import QuantileSketch
-from repro.tracing.critical_path import CriticalPath, extract_critical_path
+from repro.tracing.critical_path import CriticalPath
 from repro.tracing.span import Span
 
 #: Quantiles tracked by every sketch in the aggregator.
@@ -235,15 +235,12 @@ class CriticalPathAggregator:
     # ------------------------------------------------------------------
     # Ingest
     # ------------------------------------------------------------------
-    def observe(self, root: Span,
-                path: CriticalPath | None = None) -> None:
-        """Fold one finished trace's critical path into the aggregates.
+    def observe(self, root: Span, path: CriticalPath) -> None:
+        """Fold one finished trace into the aggregates.
 
-        ``path`` is the trace's already extracted critical path, if the
-        caller has it (the warehouse and the control plane do).
+        ``path`` is ``root``'s critical path, extracted once by the
+        caller (the warehouse and the control plane store it too).
         """
-        if path is None:
-            path = extract_critical_path(root)
         duration = path.duration
         departed = _t.cast(float, root.departure)
         self.traces_observed += 1

@@ -128,17 +128,23 @@ class TraceWindow(_t.Sequence[Span]):
 
 
 class _Columns:
-    """Critical-path columns of stored traces, in storage order.
+    """Critical-path columns of stored traces.
 
     Rows ``[head, len(roots))`` are live; dropping from the front only
     moves ``head``. New traces are staged and written into the columns
     in bulk, before any read and every :data:`_STAGED_ROWS` traces.
     Writes go past every window handed out, and any other rewrite
-    (growth, compaction, re-sorting) copies into fresh arrays, so a
-    :class:`TraceWindow` holding views stays valid.
+    (growth, compaction, merging in an earlier trace) copies into fresh
+    arrays, so a :class:`TraceWindow` holding views stays valid.
+
+    Args:
+        capacity: ``None`` keeps the rows in append order. A number
+            keeps them stably sorted by root departure, and at each
+            write drops the earliest-departed rows past ``capacity``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, capacity: int | None = None) -> None:
+        self.capacity = capacity
         self.roots: list[Span | None] = []
         self.head = 0
         self.departure = np.empty(_TRACE_ROWS)
@@ -162,7 +168,9 @@ class _Columns:
         self._service_ids: dict[str, int] = {}
 
     def __len__(self) -> int:
-        return len(self.roots) - self.head + len(self._staged[0])
+        count = len(self.roots) - self.head + len(self._staged[0])
+        return count if self.capacity is None else min(count,
+                                                       self.capacity)
 
     def departures(self) -> np.ndarray:
         """Root departures of the live rows."""
@@ -191,7 +199,8 @@ class _Columns:
             self._flush()
 
     def _flush(self) -> None:
-        """Write the staged traces after the live rows."""
+        """Write the staged traces after the live rows, then order and
+        trim the rows to the capacity, if there is one."""
         (roots, departures, durations, path_ids, services, processing,
          upstream) = self._staged
         if not roots:
@@ -214,6 +223,19 @@ class _Columns:
         self.hops += hops
         for column in self._staged:
             column.clear()
+        if self.capacity is None:
+            return
+        written = self.departure[tail:tail + count]
+        if tail > self.head and written.min() < self.departure[tail - 1]:
+            # A trace departed before one already stored: merge it in
+            # (after any that departed at the same time).
+            self._rebuild(np.argsort(self.departures(), kind="stable"),
+                          0, 0)
+        elif (written[1:] < written[:-1]).any():
+            self._sort_rows(tail)
+        excess = len(self.roots) - self.head - self.capacity
+        if excess > 0:
+            self.drop_front(excess)
 
     def _intern(self, services: tuple[str, ...]
                 ) -> tuple[int, tuple[int, ...]]:
@@ -229,16 +251,42 @@ class _Columns:
         return entry
 
     def drop_front(self, count: int) -> None:
-        """Forget the ``count`` first live rows."""
-        if self.head + count > len(self.roots):
-            self._flush()
+        """Forget the ``count`` first written live rows."""
         head = self.head
         self.roots[head:head + count] = [None] * count
         self.head = head + count
 
-    def sort(self) -> None:
-        """Order the live rows by root departure, stably."""
-        self._rebuild(np.argsort(self.departures(), kind="stable"), 0, 0)
+    def _gather(self, first: int, order: np.ndarray | None
+                ) -> tuple[_t.Any, np.ndarray, np.ndarray, int]:
+        """The rows ``[first, len(roots))``, in ``order`` (relative to
+        ``first``) if given: their row indexes, their hops' indexes,
+        the hop starts they get from 0, and their hop count."""
+        tail = len(self.roots)
+        rows = slice(first, tail) if order is None else first + order
+        starts = self.hop_start[rows]
+        lengths = np.diff(self.hop_start[first:tail], append=self.hops)
+        if order is not None:
+            lengths = lengths[order]
+        hops = int(lengths.sum())
+        new_starts = np.cumsum(lengths) - lengths
+        hop_rows = np.repeat(starts - new_starts, lengths) + np.arange(hops)
+        return rows, hop_rows, new_starts, hops
+
+    def _sort_rows(self, first: int) -> None:
+        """Stably sort the rows from ``first`` on by departure, in
+        place; no window shows them yet."""
+        order = np.argsort(self.departure[first:len(self.roots)],
+                           kind="stable")
+        rows, hop_rows, starts, hops = self._gather(first, order)
+        end, hop_first = len(self.roots), int(self.hop_start[first])
+        for column in (self.departure, self.duration, self.path):
+            column[first:end] = column[rows]
+        self.hop_start[first:end] = starts + hop_first
+        for column in (self.hop_service, self.hop_processing,
+                       self.hop_upstream):
+            column[hop_first:hop_first + hops] = column[hop_rows]
+        self.roots[first:] = [self.roots[first + index]
+                              for index in order.tolist()]
 
     def _rebuild(self, order: np.ndarray | None, extra_rows: int,
                  extra_hops: int) -> None:
@@ -247,14 +295,7 @@ class _Columns:
         their hops and ``extra_hops``, twice over."""
         head, tail = self.head, len(self.roots)
         live = tail - head
-        rows = slice(head, tail) if order is None else head + order
-        starts = self.hop_start[rows]
-        lengths = np.diff(self.hop_start[head:tail], append=self.hops)
-        if order is not None:
-            lengths = lengths[order]
-        hops = int(lengths.sum())
-        new_starts = np.cumsum(lengths) - lengths
-        hop_rows = np.repeat(starts - new_starts, lengths) + np.arange(hops)
+        rows, hop_rows, new_starts, hops = self._gather(head, order)
 
         def copy(column: np.ndarray, size: int, index, count: int
                  ) -> np.ndarray:
@@ -313,9 +354,7 @@ class TraceWarehouse:
         if max_traces < 1:
             raise ValueError(f"max_traces must be >= 1, got {max_traces}")
         self.max_traces = max_traces
-        self._columns = _Columns()
-        #: The latest root departure stored so far.
-        self._latest = -float("inf")
+        self._columns = _Columns(max_traces)
         self.total_recorded = 0
         self.sampler = sampler
         self.analytics = analytics
@@ -353,16 +392,7 @@ class TraceWarehouse:
             return
         if path is None:
             path = extract_critical_path(root)
-        columns = self._columns
-        if len(columns) == self.max_traces:
-            columns.drop_front(1)
-        columns.append(root, path)
-        # A trace that departed before one already stored is sorted in
-        # (after any that departed at the same time).
-        if root.departure < self._latest:
-            columns.sort()
-        else:
-            self._latest = root.departure
+        self._columns.append(root, path)
 
     # ------------------------------------------------------------------
     # Queries
@@ -382,18 +412,27 @@ class TraceWarehouse:
         """Spans of ``service`` in stored traces that departed within
         ``[since, until)``, stably sorted by departure (traces in
         storage order, each walked in pre-order)."""
-        spans = []
+        return self.spans_by_service([service], since, until)[service]
+
+    def spans_by_service(self, services: _t.Iterable[str],
+                         since: float = 0.0, until: float = float("inf")
+                         ) -> dict[str, list[Span]]:
+        """:meth:`spans_for` of each of ``services``, from one walk of
+        the stored traces."""
+        found: dict[str, list[Span]] = {service: [] for service in services}
         stack = self._columns.live_roots()[::-1]
         while stack:
             span = stack.pop()
+            spans = found.get(span.service)
             departure = span.departure
-            if (span.service == service and departure is not None
+            if (spans is not None and departure is not None
                     and since <= departure < until):
                 spans.append(span)
             if span.children:
                 stack.extend(reversed(span.children))
-        spans.sort(key=_departure)
-        return spans
+        for spans in found.values():
+            spans.sort(key=_departure)
+        return found
 
     def services(self) -> list[str]:
         """Names of the services with a span in a stored trace."""

@@ -201,8 +201,9 @@ def _measure(scenario: ConformanceScenario, seed: int
     throughput = times.size / window
     cycle = float(np.mean(latencies)) if latencies.size else 0.0
     residences: dict[str, tuple[float, int]] = {}
-    for name in scenario.service_names:
-        spans = app.warehouse.spans_for(name, since, until)
+    stations = app.warehouse.spans_by_service(scenario.service_names,
+                                              since, until)
+    for name, spans in stations.items():
         self_times = np.asarray([span.self_time() for span in spans])
         mean = float(np.mean(self_times)) if self_times.size else 0.0
         residences[name] = (mean, int(self_times.size))

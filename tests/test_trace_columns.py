@@ -22,7 +22,6 @@ from repro.analysis.correlation import pearson
 from repro.core.deadline import DeadlinePropagator, clamp_threshold
 from repro.core.localization import CriticalServiceLocator
 from repro.tracing import (
-    CriticalPathAggregator,
     Span,
     TraceWarehouse,
     TraceWindow,
@@ -158,16 +157,6 @@ def test_touching_children_merge_into_one_covered_interval():
     assert path.spans[1] is root.children[1]
 
 
-@SETTINGS
-@given(root=call_trees())
-def test_aggregator_fed_a_path_equals_one_that_extracts_it(root):
-    given_path, extracting = CriticalPathAggregator(), \
-        CriticalPathAggregator()
-    given_path.observe(root, extract_critical_path(root))
-    extracting.observe(root)
-    assert given_path.state_dict() == extracting.state_dict()
-
-
 # ----------------------------------------------------------------------
 # Windowed localization and propagation
 # ----------------------------------------------------------------------
@@ -251,19 +240,24 @@ def column_view(window: TraceWindow) -> dict:
           suppress_health_check=[HealthCheck.too_slow])
 @given(traces=st.lists(call_trees(max_depth=2), min_size=1, max_size=40),
        capacity=st.integers(1, 12),
+       read_every=st.integers(1, 5),
        cut=st.integers(0, 260))
 def test_columns_equal_a_recount_through_eviction_and_pruning(
-        traces, capacity, cut):
+        traces, capacity, read_every, cut):
     # Roots arrive in drawn order, so some are recorded out of
-    # departure order; at capacity the earliest-departed one goes.
+    # departure order, and several may be recorded between reads; past
+    # capacity the earliest-departed one goes, the new one included.
     warehouse = TraceWarehouse(max_traces=capacity)
     expected: list[Span] = []
-    for root in traces:
-        if len(expected) == capacity:
-            expected.pop(0)
+    for count, root in enumerate(traces, 1):
         expected.append(root)
         expected.sort(key=lambda span: span.departure)
+        if len(expected) > capacity:
+            expected.pop(0)
         warehouse.record(root)
+        assert len(warehouse) == len(expected)
+        if count % read_every and count < len(traces):
+            continue
         stored, fresh = recount(warehouse)
         assert [id(r) for r in stored] == [id(r) for r in expected]
         assert column_view(stored) == column_view(fresh)
@@ -290,10 +284,20 @@ def test_growth_keeps_earlier_windows_intact():
         warehouse.record(root)
     early = warehouse.traces(100.0, 900.0)
     before = column_view(early)
-    for root in roots[1000:][::-1]:  # every one out of order
+    # Later than every stored trace, out of order among themselves.
+    for pair in range(1000, 2000, 2):
+        warehouse.record(roots[pair + 1])
+        warehouse.record(roots[pair])
+    assert column_view(early) == before
+    middle = warehouse.traces(1500.0, 1900.0)
+    in_middle = column_view(middle)
+    for root in roots[2000:][::-1]:  # every one out of order
         warehouse.record(root)
     assert column_view(early) == before
+    assert column_view(middle) == in_middle
     stored, fresh = recount(warehouse)
+    assert [root.departure for root in stored] == [
+        root.departure for root in roots]
     assert column_view(stored) == column_view(fresh)
     assert len(warehouse.traces(100.0, 900.0)) == 800
 
