@@ -14,7 +14,7 @@ from benchmarks._common import (
     once,
     publish,
 )
-from repro.core.estimator import EstimatorConfig
+from repro.core import EstimatorConfig
 from repro.experiments import run_scenario, sock_shop_cart_scenario
 from repro.experiments.reporting import ascii_table
 from repro.workloads import quick_varying
@@ -30,11 +30,9 @@ def run_all():
                               min_users=MIN_USERS)
         scenario = sock_shop_cart_scenario(
             trace=trace, controller="sora", autoscaler="firm", sla=SLA)
-        # Rewire the estimators with the ablated window.
-        for estimator in scenario.controller.estimators.values():
-            estimator.config = EstimatorConfig(window=window)
-            estimator.sampler.interval = \
-                estimator.config.sampling_interval
+        # Rewire the controller with the ablated window.
+        scenario.controller.estimator_config = EstimatorConfig(
+            window=window)
         results[window] = run_scenario(scenario, duration=TRACE_DURATION)
     return results
 

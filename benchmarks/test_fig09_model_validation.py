@@ -16,8 +16,8 @@ recommendation achieves (nearly) the highest goodput
 from benchmarks._common import once, publish, scaled
 from benchmarks._subjects import ALL_SUBJECTS, THRESHOLD
 from repro.core import SCGModel
-from repro.core.estimator import ConcurrencyEstimator, EstimatorConfig
 from repro.experiments.reporting import ascii_table
+from repro.metrics import ConcurrencyGoodputSampler
 
 ESTIMATION_DURATION = 120.0
 VALIDATION_DURATION = 60.0
@@ -30,13 +30,15 @@ def run_all():
         duration = scaled(ESTIMATION_DURATION)
         env, app, target = subject.start_run(
             LIBERAL_ALLOCATION, duration, seed=21)
-        estimator = ConcurrencyEstimator(
-            env, target, SCGModel(),
-            threshold_provider=lambda: THRESHOLD,
-            config=EstimatorConfig(window=duration))
-        estimator.start()
+        sampler = ConcurrencyGoodputSampler(
+            env, concurrency_integral=target.concurrency_integral,
+            completion_source=target.completion_latencies,
+            threshold_provider=lambda: THRESHOLD)
+        sampler.start()
         env.run(until=duration + 2.0)
-        estimate = estimator.estimate_now()
+        concurrency, goodput = sampler.pairs(since=env.now - duration)
+        estimate = SCGModel().estimate(concurrency, goodput,
+                                       threshold=THRESHOLD)
         recommended = (estimate.optimal_concurrency
                        if estimate is not None else LIBERAL_ALLOCATION)
 

@@ -28,8 +28,8 @@ from repro.core import (
     SCGModel,
     ThreadPoolTarget,
 )
-from repro.core.estimator import ConcurrencyEstimator, EstimatorConfig
 from repro.experiments.reporting import ascii_table, sparkline
+from repro.metrics import ConcurrencyGoodputSampler
 from repro.sim import Environment, RandomStreams
 from repro.tracing import critical_path_frequencies, extract_critical_path
 from repro.workloads import ClosedLoopDriver, WorkloadTrace
@@ -58,10 +58,11 @@ def main() -> None:
                               streams.stream("driver"))
 
     target = ThreadPoolTarget(cart)
-    estimator = ConcurrencyEstimator(
-        env, target, SCGModel(), threshold_provider=lambda: SLA,
-        config=EstimatorConfig(window=WINDOW))
-    estimator.start()
+    sampler = ConcurrencyGoodputSampler(
+        env, concurrency_integral=target.concurrency_integral,
+        completion_source=target.completion_latencies,
+        threshold_provider=lambda: SLA)
+    sampler.start()
     driver.start()
     env.run(until=DURATION)
 
@@ -99,7 +100,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("Phase 3 - metrics collection (100 ms granularity)")
-    q, gp = estimator.sampler.pairs(since=now - WINDOW)
+    q, gp = sampler.pairs(since=now - WINDOW)
     print(f"collected {q.size} <Q, GP> pairs; "
           f"concurrency spans {q.min():.1f}..{q.max():.1f}")
     aq, agp = aggregate_scatter(np.round(q[q > 0] * 2) / 2, gp[q > 0])
@@ -108,7 +109,7 @@ def main() -> None:
 
     # ------------------------------------------------------------------
     print("Phase 4 - knee-point estimation")
-    estimate = estimator.estimate_now()
+    estimate = SCGModel().estimate(q, gp, threshold=SLA)
     if estimate is None:
         print("not enough signal in this window - run longer")
         return

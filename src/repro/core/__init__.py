@@ -1,11 +1,6 @@
 """The paper's primary contribution: the SCG model and Sora framework."""
 
 from repro.core.deadline import DeadlinePropagator, PropagatedDeadline
-from repro.core.estimator import (
-    ConcurrencyEstimator,
-    EstimateRecord,
-    EstimatorConfig,
-)
 from repro.core.localization import (
     CriticalServiceLocator,
     LocalizationReport,
@@ -22,6 +17,7 @@ from repro.core.sora import (
     AdaptationAction,
     ConcurrencyAdaptationFramework,
     ConScaleController,
+    EstimatorConfig,
     FrameworkConfig,
     SoraController,
 )
@@ -38,11 +34,9 @@ __all__ = [
     "ClientPoolTarget",
     "ConcurrencyAdaptationFramework",
     "ConcurrencyEstimate",
-    "ConcurrencyEstimator",
     "ConScaleController",
     "CriticalServiceLocator",
     "DeadlinePropagator",
-    "EstimateRecord",
     "EstimatorConfig",
     "FrameworkConfig",
     "HillClimbConfig",

@@ -6,8 +6,10 @@ out, below the global localization and propagation (Autothrottle's
 bi-level split, PAPERS.md). The embedded
 :class:`~repro.core.sora.ConcurrencyAdaptationFramework` and the
 service's :class:`~repro.service.control.ControlPlane` are thin
-adapters: each builds the columns, estimates only the rows
-:func:`saturated` leaves open, calls :func:`decide` and applies it.
+adapters: each builds the columns and windows, calls
+:func:`decide_round` (which estimates only the rows :func:`saturated`
+leaves open, in one batch, then calls :func:`decide`) and applies the
+verdicts.
 
 The rules, in order:
 
@@ -31,7 +33,7 @@ import typing as _t
 
 import numpy as np
 
-from repro.core.scg import ConcurrencyEstimate
+from repro.core.scg import ConcurrencyEstimate, ScatterCurveModel, Window
 from repro.obs.events import TargetDecision
 
 #: Multiplicative exploration step.
@@ -184,6 +186,30 @@ def decide(targets: _t.Sequence[str], trigger: str, current,
             targets, current.tolist(), after.tolist(), changed.tolist(),
             reasons.tolist(), thresholds, estimates, estimated.tolist(),
             grow.tolist(), settled.tolist()))
+
+
+def decide_round(model: ScatterCurveModel, targets: _t.Sequence[str],
+                 trigger: str, current, thresholds, processing_p90,
+                 windows: _t.Sequence[Window], *, min_allocation: int,
+                 max_allocation: int,
+                 curve_points: int = 0) -> tuple[TargetDecision, ...]:
+    """One round's verdicts, as :func:`decide`, from each target's
+    ``(concurrency, rate)`` estimation window: one
+    :meth:`~repro.core.scg.ScatterCurveModel.estimate_many` call
+    estimates the rows :func:`saturated` leaves open, each under its
+    threshold (none where it is ``inf``: the latency-agnostic SCT)."""
+    settled = saturated(current, [window[0] for window in windows],
+                        model.config.min_samples)
+    rows = np.flatnonzero(~settled).tolist()
+    estimates: list[ConcurrencyEstimate | None] = [None] * len(targets)
+    for row, estimate in zip(rows, model.estimate_many(
+            [windows[row] for row in rows],
+            [None if thresholds[row] == np.inf else thresholds[row]
+             for row in rows])):
+        estimates[row] = estimate
+    return decide(targets, trigger, current, thresholds, processing_p90,
+                  settled, estimates, min_allocation=min_allocation,
+                  max_allocation=max_allocation, curve_points=curve_points)
 
 
 def action_method(decision: TargetDecision) -> str:

@@ -4,8 +4,11 @@ Sora wires four pieces into a closed loop:
 
 - **Monitoring Module** — utilization sampling + trace retention
   (:class:`~repro.core.monitoring.MonitoringModule`);
-- **Concurrency Estimator** — per-target SCG estimation over a trailing
-  window (:class:`~repro.core.estimator.ConcurrencyEstimator`);
+- **Concurrency Estimator** — one ``<concurrency, goodput>`` sampler
+  per target, and one SCG model that estimates every target the round
+  adapts over its trailing window in one batch
+  (:func:`~repro.core.policy.decide_round`, the ``estimate.batch``
+  phase, as in the service);
 - **Reallocation Module** — a hardware-only autoscaler (HPA/VPA/FIRM)
   plus the *Concurrency Adapter* that re-applies optimal soft-resource
   allocations, immediately after hardware scale events and periodically
@@ -33,7 +36,6 @@ from repro.app.application import Application
 from repro.autoscalers.base import Autoscaler, ScaleEvent
 from repro.core import policy
 from repro.core.deadline import DeadlinePropagator
-from repro.core.estimator import ConcurrencyEstimator, EstimatorConfig
 from repro.core.localization import (
     CriticalServiceLocator,
     LocalizationReport,
@@ -41,6 +43,7 @@ from repro.core.localization import (
 from repro.core.monitoring import MonitoringModule
 from repro.core.scg import ScatterModelConfig, SCGModel, SCTModel
 from repro.core.targets import ClientPoolTarget, SoftResourceTarget
+from repro.metrics.sampler import ConcurrencyGoodputSampler
 from repro.obs.events import (
     ControlRoundRecord,
     DriftRecord,
@@ -67,6 +70,28 @@ class AdaptationAction:
 
 
 @dataclass
+class EstimatorConfig:
+    """Estimation knobs (paper defaults).
+
+    Attributes:
+        sampling_interval: pair granularity — 100 ms gives the best
+            MAPE in Table 1.
+        window: trailing window the model sees — 60 s accumulates ~600
+            points (§4.1). Each round drops samples older than twice
+            the window.
+    """
+
+    sampling_interval: float = 0.1
+    window: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.sampling_interval <= 0 or self.window <= 0:
+            raise ValueError("all estimator periods must be positive")
+        if self.window < self.sampling_interval:
+            raise ValueError("window shorter than sampling interval")
+
+
+@dataclass
 class FrameworkConfig:
     """Control-loop knobs shared by Sora and ConScale.
 
@@ -83,7 +108,7 @@ class FrameworkConfig:
             critical paths).
         detect_drift: run a Page-Hinkley change detector on each
             target's per-period mean processing time; on detection the
-            estimator's window is flushed so the model re-learns the
+            target's sample window is flushed so the model re-learns the
             new regime instead of averaging across regimes (extension
             beyond the paper; see DESIGN.md).
         localize_from_aggregates: nominate the critical service from
@@ -164,14 +189,17 @@ class ConcurrencyAdaptationFramework:
         #: ``(time, target)`` records of detected regime shifts.
         self.drift_detections: list[tuple[float, str]] = []
 
-        self.estimators: dict[str, ConcurrencyEstimator] = {}
-        for target in self.targets:
-            model = self._build_model(model_config)
-            provider = (None if sla is None else
-                        lambda name=target.name: self._thresholds[name])
-            self.estimators[target.name] = ConcurrencyEstimator(
-                env, target, model, provider, config=estimator_config,
-                obs=self.obs)
+        self.estimator_config = estimator_config or EstimatorConfig()
+        self.model = self._build_model(model_config)
+        #: Per-target ``<concurrency, goodput>`` pairs, goodput measured
+        #: against the target's current threshold.
+        self.samplers = {target.name: ConcurrencyGoodputSampler(
+            env, concurrency_integral=target.concurrency_integral,
+            completion_source=target.completion_latencies,
+            threshold_provider=lambda name=target.name:
+                self._thresholds[name],
+            interval=self.estimator_config.sampling_interval,
+            name=target.name, obs=self.obs) for target in self.targets}
         if autoscaler is not None:
             autoscaler.on_scale(self._on_scale)
         self._started = False
@@ -190,14 +218,14 @@ class ConcurrencyAdaptationFramework:
     # Lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Start monitoring, estimators, autoscaler, and the adapter
+        """Start monitoring, samplers, autoscaler, and the adapter
         loop (idempotent)."""
         if self._started:
             return
         self._started = True
         self.monitoring.start()
-        for estimator in self.estimators.values():
-            estimator.start()
+        for sampler in self.samplers.values():
+            sampler.start()
         if self.autoscaler is not None:
             self.autoscaler.start()
         self.env.process(self._loop(), name=f"{self.model_name}-adapter")
@@ -214,9 +242,10 @@ class ConcurrencyAdaptationFramework:
         """One adapter iteration: localize, propagate, estimate, apply.
 
         With observability on, the round is self-traced under the
-        recorder's shared phase names (``estimate.<target>`` spans nest
+        recorder's shared phase names (one ``estimate.batch`` span nests
         under ``scg_estimation``) and its wall time is stamped on the
-        round's decision record.
+        round's decision record. The round ends by dropping samples
+        older than twice the estimation window.
         """
         obs = self.obs
         obs.flight.begin_round()
@@ -252,8 +281,8 @@ class ConcurrencyAdaptationFramework:
         critical = report.critical_service
         matched = [t for t in self.targets
                    if t.service.name == critical] or self.targets
-        with obs.phase("scg_estimation"):
-            decisions = self._adapt_round(matched, "periodic")
+        with obs.phase("scg_estimation"), obs.phase("estimate.batch"):
+            decisions = self._adapt_round(matched)
         if obs:
             with obs.phase("decision"):
                 thresholds = {t.name: self._thresholds[t.name]
@@ -275,33 +304,29 @@ class ConcurrencyAdaptationFramework:
                 decisions=decisions,
                 traces=len(traces),
                 wall_ms=wall_ms))
+        for sampler in self.samplers.values():
+            sampler.prune(now - 2 * self.estimator_config.window)
 
-    def _adapt_round(self, targets: _t.Sequence[SoftResourceTarget],
-                     trigger: Trigger) -> tuple[TargetDecision, ...]:
-        """Build the policy columns of ``targets``, estimate the rows
-        saturation does not settle, and apply the verdicts."""
-        now = self.env.now
-        estimators = [self.estimators[target.name] for target in targets]
-        current = [self._desired[target.name] for target in targets]
-        windows = [estimator.sampler.pairs(
-            since=now - estimator.config.window)[0]
-            for estimator in estimators]
-        settled = policy.saturated(
-            current, windows, estimators[0].model.config.min_samples)
-        estimates = [None if skip else estimator.estimate_now()
-                     for skip, estimator in zip(settled, estimators)]
-        decisions = policy.decide(
-            [target.name for target in targets], trigger, current,
+    def _adapt_round(self, targets: _t.Sequence[SoftResourceTarget]
+                     ) -> tuple[TargetDecision, ...]:
+        """Decide ``targets`` over their estimation windows and apply
+        the verdicts. SCG reads goodput pairs, SCT throughput pairs."""
+        since = self.env.now - self.estimator_config.window
+        decisions = policy.decide_round(
+            self.model, [target.name for target in targets], "periodic",
+            [self._desired[target.name] for target in targets],
             [self._thresholds[target.name] for target in targets],
             [self._processing_p90(target) for target in targets],
-            settled, estimates,
+            [self.samplers[target.name].pairs(
+                since=since, use_threshold=self.sla is not None)
+             for target in targets],
             min_allocation=self.config.min_allocation,
             max_allocation=self.config.max_allocation,
             curve_points=self.obs.curve_points)
         for target, decision in zip(targets, decisions):
             if decision.outcome == "applied":
                 self._apply(target, decision.after,
-                            policy.action_method(decision), trigger)
+                            policy.action_method(decision), "periodic")
         return decisions
 
     def _processing_p90(self, target: SoftResourceTarget) -> float:
@@ -309,11 +334,11 @@ class ConcurrencyAdaptationFramework:
         estimation window."""
         now = self.env.now
         return policy.p90(target.processing_latencies(
-            now - self.estimators[target.name].config.window, now))
+            now - self.estimator_config.window, now))
 
     def _check_drift(self) -> None:
         """Feed each target's recent mean processing time to its
-        change detector; flush the estimator window on detection."""
+        change detector; flush its sample window on detection."""
         since = self.env.now - self.config.control_period
         for target in self.targets:
             processing = target.processing_latencies(since, self.env.now)
@@ -323,8 +348,8 @@ class ConcurrencyAdaptationFramework:
             change = detector.update(float(np.mean(processing)))
             if change is not None:
                 self.drift_detections.append((self.env.now, target.name))
-                self.estimators[target.name].sampler.prune(self.env.now)
-                logger.info("t=%.1f drift detected on %s; estimator "
+                self.samplers[target.name].prune(self.env.now)
+                logger.info("t=%.1f drift detected on %s; sample "
                             "window flushed", self.env.now, target.name)
                 if self.obs:
                     self.obs.record(DriftRecord(time=self.env.now,
@@ -361,11 +386,10 @@ class ConcurrencyAdaptationFramework:
         for target in self.targets:
             if not self._affected(target, event):
                 continue
-            estimator = self.estimators[target.name]
             before = self._desired[target.name]
             if event.kind == "vertical" and event.before > 0:
                 # Bootstrap proportionally to the capacity change, then
-                # let the estimator refine on fresh samples.
+                # let the model refine on fresh samples.
                 ratio = event.after / event.before
                 bootstrap = max(1, math.ceil(
                     self._desired[target.name] * ratio))
@@ -388,7 +412,7 @@ class ConcurrencyAdaptationFramework:
                     self._thresholds[target.name]))
             # Samples gathered under the old hardware no longer
             # describe the capacity curve.
-            estimator.sampler.prune(self.env.now)
+            self.samplers[target.name].prune(self.env.now)
         if self.obs and decisions:
             self.obs.record(ControlRoundRecord(
                 time=self.env.now, controller=self.model_name,

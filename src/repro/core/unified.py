@@ -100,12 +100,12 @@ class UnifiedSoraController(SoraController):
         utilization = self.monitoring.utilization_over(
             service.name, config.window)
         current = service.cores_per_replica
-        estimator = self.estimators[target.name]
+        sampler = self.samplers[target.name]
 
         slo_pressure = not policy.can_grow(
             self._thresholds[target.name],
             self._processing_p90(target)) or \
-            self._badput_fraction(target, estimator) > 0.05
+            self._badput_fraction(target) > 0.05
 
         if utilization > config.utilization_high and \
                 current < config.max_cores and slo_pressure:
@@ -118,7 +118,7 @@ class UnifiedSoraController(SoraController):
                 self._desired[target.name] + 1,
                 math.ceil(self._desired[target.name] * ratio)))
             self._apply(target, bootstrap, "proportional", "bootstrap")
-            estimator.sampler.prune(self.env.now)
+            sampler.prune(self.env.now)
             self._calm_since.pop(service.name, None)
         elif utilization < config.utilization_low and \
                 current > config.min_cores and not slo_pressure:
@@ -127,15 +127,14 @@ class UnifiedSoraController(SoraController):
             if self.env.now - started >= config.scale_down_stabilization:
                 after = max(config.min_cores, current - config.step)
                 self._apply_cores(service, current, after)
-                estimator.sampler.prune(self.env.now)
+                sampler.prune(self.env.now)
                 self._calm_since.pop(service.name, None)
         else:
             self._calm_since.pop(service.name, None)
 
-    def _badput_fraction(self, target: SoftResourceTarget,
-                         estimator) -> float:
+    def _badput_fraction(self, target: SoftResourceTarget) -> float:
         """Share of recent completions missing the local threshold."""
-        since = self.env.now - estimator.config.window
+        since = self.env.now - self.estimator_config.window
         latencies = target.completion_latencies(since, self.env.now)
         if latencies.size == 0:
             return 0.0

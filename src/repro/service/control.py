@@ -11,8 +11,8 @@ control round re-runs the paper's pipeline over its streaming state:
 2. **Deadline propagation** — per-trace upstream budgets, folded at
    ingest into a bounded window, so a round's threshold is a cheap mean.
 3. **Adaptation** — the embedded controller's decision core
-   (:mod:`repro.core.policy`) over every decided service: the
-   saturation rules settle pinned pools, one
+   (:func:`repro.core.policy.decide_round`) over every decided
+   service: the saturation rules settle pinned pools, one
    :meth:`~repro.core.scg.ScatterCurveModel.estimate_many` batch
    estimates the rest. Span processing times (``departure - started``),
    folded at ingest beside the budgets, feed the growth gate.
@@ -68,6 +68,10 @@ __all__ = ["ControlPlane"]
 
 #: Name stamped on every control round the service emits.
 CONTROLLER_NAME = "service"
+#: Largest pool size magnitude a snapshot may report: the largest
+#: integer a float64 holds exactly (a larger one overflows the decision
+#: core's int64 columns).
+MAX_ALLOCATION = 2 ** 53
 
 
 class ControlPlane:
@@ -157,7 +161,8 @@ class ControlPlane:
                 per-series clocks must be non-decreasing),
                 ``"bad-openmetrics"`` when a service's concurrency or
                 goodput is NaN, infinite or negative, or a service with
-                a pair reports a NaN or infinite allocation.
+                a pair reports a NaN allocation or one larger than
+                :data:`MAX_ALLOCATION` in magnitude.
         """
         cfg = self.config
         with self.flight.phase("ingest.metrics"):
@@ -197,16 +202,16 @@ class ControlPlane:
                     "stale-snapshot",
                     f"snapshot time {now} precedes already-observed "
                     f"samples (latest {latest}) for: {', '.join(names)}")
-            # A NaN, infinite or negative pair, or a non-finite pool size
-            # beside one, would be stored and fitted (or fail every
-            # later round), so it rejects the whole snapshot.
+            # A NaN, infinite or negative pair, or a NaN or oversized
+            # pool size beside one, would be stored and fitted (or fail
+            # every later round), so it rejects the whole snapshot.
             head = slice(0, snapshot.pairs)
             pair = np.stack((snapshot.concurrency[head],
                              snapshot.rate[head]))
             sized = np.where(snapshot.has_allocation[head],
                              snapshot.allocation[head], 0.0)
             invalid = ~((np.isfinite(pair) & (pair >= 0)).all(axis=0)
-                        & np.isfinite(sized))
+                        & (np.abs(sized) <= MAX_ALLOCATION))
             if invalid.any():
                 self.obs.registry.counter("service.rejected").inc()
                 names = [snapshot.services[i]
@@ -215,8 +220,9 @@ class ControlPlane:
                     "bad-openmetrics",
                     f"{cfg.concurrency_family!r} and {cfg.rate_family!r} "
                     f"must be finite and non-negative, and "
-                    f"{cfg.allocation_family!r} finite, for services with "
-                    f"pair telemetry; invalid for: {', '.join(names)}")
+                    f"{cfg.allocation_family!r} at most {MAX_ALLOCATION} "
+                    f"in magnitude, for services with pair telemetry; "
+                    f"invalid for: {', '.join(names)}")
             self.now = max(self.now, now)
             store.observe(now, store.track(snapshot.services), snapshot)
             self._pending += 1
@@ -296,21 +302,12 @@ class ControlPlane:
             current.append(reported if reported is not None
                            else previous.allocation if previous is not None
                            else cfg.min_allocation)
-        limits = [thresholds[name] for name in services]
         windows = store.windows(services, since)
-        settled = policy.saturated(
-            current, [concurrency for concurrency, _rate in windows],
-            cfg.scatter.min_samples)
-        rows = np.flatnonzero(~settled).tolist()
-        estimates: list = [None] * len(services)
-        for row, estimate in zip(rows, self.model.estimate_many(
-                [windows[row] for row in rows],
-                [limits[row] for row in rows])):
-            estimates[row] = estimate
-        decisions = policy.decide(
-            services, "round", current, limits,
-            [policy.p90(processing[name]) for name in services], settled,
-            estimates, min_allocation=cfg.min_allocation,
+        decisions = policy.decide_round(
+            self.model, services, "round", current,
+            [thresholds[name] for name in services],
+            [policy.p90(processing[name]) for name in services], windows,
+            min_allocation=cfg.min_allocation,
             max_allocation=cfg.max_allocation)
         for decision, (concurrency, _rate) in zip(decisions, windows):
             name = decision.target

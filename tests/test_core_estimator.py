@@ -1,16 +1,17 @@
-"""Tests for targets, the concurrency estimator, and monitoring."""
+"""Tests for targets, sampled SCG/SCT estimation, and monitoring."""
 
 import pytest
 
 from repro.app import Application, Call, Compute, Microservice, Operation
 from repro.core import (
     ClientPoolTarget,
-    ConcurrencyEstimator,
     EstimatorConfig,
     MonitoringModule,
     SCGModel,
+    SCTModel,
     ThreadPoolTarget,
 )
+from repro.metrics import ConcurrencyGoodputSampler
 from repro.sim import Constant, Environment, Exponential, RandomStreams
 from repro.workloads import OpenLoopDriver
 
@@ -122,60 +123,53 @@ class TestEstimatorConfig:
         with pytest.raises(ValueError):
             EstimatorConfig(window=0.05, sampling_interval=0.1)
         with pytest.raises(ValueError):
-            EstimatorConfig(update_period=0.0)
+            EstimatorConfig(window=0.0)
 
 
-class TestConcurrencyEstimator:
-    def test_produces_estimates_under_load(self):
-        env = Environment()
-        streams = RandomStreams(1)
-        # Bursty load so the observed concurrency spans many levels.
-        app = build_app(env, streams, threads=8, demand=0.02)
-        target = ThreadPoolTarget(app.service("svc"))
-        estimator = ConcurrencyEstimator(
-            env, target, SCGModel(), threshold_provider=lambda: 0.3,
-            config=EstimatorConfig(window=30.0, update_period=5.0))
-        estimator.start()
-        driver = OpenLoopDriver(
+def run_sampler(*, load: bool) -> ConcurrencyGoodputSampler:
+    """A pair sampler on ``svc``'s thread pool (goodput threshold
+    300 ms) after 62 s under bursty load, so the observed concurrency
+    spans many levels, or under none."""
+    env = Environment()
+    streams = RandomStreams(1)
+    app = build_app(env, streams, threads=8, demand=0.02)
+    target = ThreadPoolTarget(app.service("svc"))
+    sampler = ConcurrencyGoodputSampler(
+        env, concurrency_integral=target.concurrency_integral,
+        completion_source=target.completion_latencies,
+        threshold_provider=lambda: 0.3)
+    sampler.start()
+    if load:
+        OpenLoopDriver(
             env, app, "go",
             rate=lambda t: 110.0 if (t % 20.0) < 10.0 else 25.0,
-            rng=streams.stream("arr"), duration=60.0)
-        driver.start()
-        env.run(until=62.0)
-        assert estimator.latest is not None
-        assert estimator.recommendation() >= 1
-        assert len(estimator.history) >= 1
+            rng=streams.stream("arr"), duration=60.0).start()
+    env.run(until=62.0)
+    return sampler
+
+
+class TestSampledEstimation:
+    def test_produces_estimates_under_load(self):
+        sampler = run_sampler(load=True)
+        estimate = SCGModel().estimate(*sampler.pairs(since=32.0),
+                                       threshold=0.3)
+        assert estimate is not None
+        assert estimate.optimal_concurrency >= 1
+        assert estimate.threshold == 0.3
 
     def test_no_data_yields_none(self):
-        env = Environment()
-        streams = RandomStreams(1)
-        app = build_app(env, streams)
-        target = ThreadPoolTarget(app.service("svc"))
-        estimator = ConcurrencyEstimator(
-            env, target, SCGModel(), threshold_provider=lambda: 0.3)
-        estimator.start()
-        env.run(until=20.0)
-        assert estimator.estimate_now() is None
-        assert estimator.recommendation() is None
+        sampler = run_sampler(load=False)
+        assert SCGModel().estimate(*sampler.pairs(), threshold=0.3) is None
 
     def test_sct_mode_uses_throughput(self):
-        env = Environment()
-        streams = RandomStreams(1)
-        app = build_app(env, streams, threads=8, demand=0.02)
-        target = ThreadPoolTarget(app.service("svc"))
-        from repro.core import SCTModel
-        estimator = ConcurrencyEstimator(
-            env, target, SCTModel(), threshold_provider=None,
-            config=EstimatorConfig(window=30.0, update_period=5.0))
-        estimator.start()
-        driver = OpenLoopDriver(
-            env, app, "go",
-            rate=lambda t: 110.0 if (t % 20.0) < 10.0 else 25.0,
-            rng=streams.stream("arr"), duration=60.0)
-        driver.start()
-        env.run(until=62.0)
-        assert estimator.latest is not None
-        assert estimator.latest.threshold is None
+        sampler = run_sampler(load=True)
+        concurrency, throughput = sampler.pairs(since=32.0,
+                                                use_threshold=False)
+        goodput = sampler.pairs(since=32.0)[1]
+        assert (throughput >= goodput).all()
+        estimate = SCTModel().estimate(concurrency, throughput)
+        assert estimate is not None
+        assert estimate.threshold is None
 
 
 class TestMonitoringModule:

@@ -7,8 +7,10 @@ from repro.autoscalers import NullAutoscaler, VerticalPodAutoscaler
 from repro.core import (
     ClientPoolTarget,
     ConScaleController,
+    EstimatorConfig,
     FrameworkConfig,
     MonitoringModule,
+    SCTModel,
     SoraController,
     ThreadPoolTarget,
 )
@@ -176,6 +178,38 @@ class TestSoraController:
         env.run(until=90.0)
         assert all(a.threshold is not None for a in controller.actions)
 
+    def test_rounds_bound_sampler_memory(self):
+        env = Environment()
+        streams = RandomStreams(3)
+        app = build_app(env, streams, threads=3)
+        window = 15.0
+        controller, _t = self.make(
+            env, streams, app,
+            estimator_config=EstimatorConfig(window=window))
+        horizons = []
+        control = controller.control
+
+        def control_and_check():
+            control()
+            horizon = env.now - 2 * window
+            horizons.append(horizon)
+            for sampler in controller.samplers.values():
+                assert len(sampler.concurrency) > 0
+                for series in (sampler.concurrency, sampler.goodput,
+                               sampler.throughput):
+                    times, _values = series.window(until=horizon)
+                    assert times.size == 0, (env.now, times[0])
+
+        controller.control = control_and_check
+        controller.start()
+        driver = OpenLoopDriver(env, app, "go", rate=bursty_rate,
+                                rng=streams.stream("arr"), duration=90.0)
+        driver.start()
+        env.run(until=90.5)
+        # Six rounds over six windows: the last four check a horizon
+        # past the first samples.
+        assert len(horizons) == 6
+
 
 class TestConScaleController:
     def test_ignores_sla_kwarg(self):
@@ -203,10 +237,10 @@ class TestConScaleController:
         env.run(until=120.0)
         assert controller.actions
         assert target.allocation() > 2
-        # SCT estimates have no threshold.
-        estimator = controller.estimators[target.name]
-        assert estimator.latest is None or \
-            estimator.latest.threshold is None
+        # SCT estimates throughput pairs, with no threshold.
+        assert isinstance(controller.model, SCTModel)
+        assert all(action.threshold == float("inf")
+                   for action in controller.actions)
 
 
 class TestClientPoolReplicaTracking:

@@ -105,6 +105,8 @@ class TestSockShopScenario:
         # ... and its estimates carry no latency threshold.
         assert all(a.threshold == float("inf")
                    for a in result.adaptation_actions)
+        assert_actions_match_golden("sock_shop_conscale_vpa",
+                                    result.adaptation_actions)
 
 
 class TestSocialNetworkScenario:

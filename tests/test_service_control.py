@@ -409,9 +409,10 @@ def test_stale_snapshot_is_rejected_before_any_mutation():
     assert plane.checkpoint()["series"]["cart"]["snapshots"] == 2
 
 
-def test_non_finite_allocation_is_rejected_before_any_mutation():
+def test_nan_inf_or_huge_allocation_is_rejected_before_any_mutation():
     plane = ControlPlane(small_config())
-    for value in ("NaN", "+Inf"):
+    # 1e41 is finite but overflows the decision core's int64 columns.
+    for value in ("NaN", "+Inf", "1e41"):
         text = render_snapshot(1.0, {"cart": 0.9}, {"cart": 3.0},
                                {"cart": 20.0}, {"cart": 5}).replace(
             'sora_allocation{service="cart"} 5',

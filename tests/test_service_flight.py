@@ -142,12 +142,8 @@ def test_round_span_tree_covers_every_phase(estimated_round):
     estimation = next(child for child in root["children"]
                       if child["operation"] == "scg_estimation")
     estimates = [grand["operation"] for grand in estimation["children"]]
-    if kind == "service":
-        # The service estimates every decided series in one batch.
-        assert estimates == ["estimate.batch"]
-    else:
-        assert set(estimates) == {f"estimate.{name}"
-                                  for name in payload["decisions"]}
+    # Both estimate every decided target in one batch.
+    assert estimates == ["estimate.batch"]
     # Wall clocks are monotone through the pipeline.
     ordered = [next(child for child in root["children"]
                     if child["operation"] == op)
