@@ -231,9 +231,9 @@ class ScatterCurveModel:
 
         Returns:
             One entry per window, ``None`` where :meth:`estimate` would
-            return ``None``: too few samples or levels, or levels
-            whose squared ``max_degree``-th powers overflow when
-            summed.
+            return ``None``: too few samples or levels, a NaN or
+            infinite rate, or levels whose squared ``max_degree``-th
+            powers overflow when summed.
         """
         if thresholds is None:
             thresholds = [None] * len(windows)
@@ -259,9 +259,14 @@ class ScatterCurveModel:
         owner = np.repeat(np.arange(count), samples)
         concurrency = np.concatenate(concurrency_parts)
         rate = np.concatenate(rate_parts)
+        # A NaN or infinite rate would turn its window's whole fit to
+        # NaN; such a window gets no estimate.
+        finite = np.bincount(owner, weights=~np.isfinite(rate),
+                             minlength=count) == 0
         # Idle samples (zero concurrency) carry no information about
         # the service's capacity curve.
-        busy = (samples >= config.min_samples)[owner] & (concurrency > 0)
+        busy = ((samples >= config.min_samples) & finite)[owner] & \
+            (concurrency > 0)
         quantized = np.round(concurrency[busy] / config.quantum) * \
             config.quantum
         level_owner, all_levels, all_rates = aggregate_scatters(

@@ -200,11 +200,11 @@ def _telemetry_pump(scenario: Scenario, slo: "SLOMonitor | None",
     """Streaming-telemetry process: one tick per ``interval``.
 
     Each tick drains the newly completed requests of the scenario's
-    request type, folds their latencies into a P² sketch (so P50/P99
-    series never retain raw samples), feeds the SLO monitor (counting
-    abandoned requests as bad), evaluates burn-rate rules, and records
-    the goodput / latency / event-queue depth / pool / breaker /
-    burn-rate series. The pump is a pure observer — it reads
+    request type, folds their latencies into a quantile sketch (so
+    P50/P99 series never retain raw samples), feeds the SLO monitor
+    (counting abandoned requests as bad), evaluates burn-rate rules,
+    and records the goodput / latency / event-queue depth / pool /
+    breaker / burn-rate series. The pump is a pure observer — it reads
     simulation state and writes only into ``scenario.obs`` — so
     enabling it never changes simulated outcomes; it is only *started*
     when telemetry is on, so default runs keep byte-identical replay
@@ -218,7 +218,7 @@ def _telemetry_pump(scenario: Scenario, slo: "SLOMonitor | None",
     app = scenario.app
     sla = scenario.sla
     target = scenario.target
-    sketch = QuantileSketch((0.5, 0.99))
+    sketch = QuantileSketch()
     last_drained = 0.0
     last_failed = app.failed_total
     while True:
@@ -233,7 +233,8 @@ def _telemetry_pump(scenario: Scenario, slo: "SLOMonitor | None",
         timeline.record("goodput", now, good / interval)
         timeline.record("sim.queue_depth", now, float(env.queue_depth))
         if latencies.size:
-            sketch.observe_many(latencies)
+            for latency in latencies.tolist():
+                sketch.observe(latency)
             timeline.record("latency.p50", now, sketch.quantile(0.5))
             timeline.record("latency.p99", now, sketch.quantile(0.99))
         new_failures = app.failed_total - last_failed

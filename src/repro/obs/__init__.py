@@ -4,7 +4,7 @@ One :class:`Observability` object per run bundles the four concerns
 the controllers thread through:
 
 - a :class:`~repro.obs.registry.MetricsRegistry` (counters, gauges,
-  bounded histograms);
+  and :class:`~repro.obs.sketch.QuantileSketch` histograms);
 - a :class:`~repro.obs.events.DecisionLog` of typed control-round /
   scale-event / drift records (JSONL-exportable);
 - a :class:`~repro.obs.flight.FlightRecorder`, the one wall-clock
@@ -37,8 +37,8 @@ from repro.obs.events import (
 )
 from repro.obs.logconfig import configure_logging, quiet
 from repro.obs.flight import PHASES, FlightRecorder
-from repro.obs.registry import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.sketch import P2Quantile, QuantileSketch
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
+from repro.obs.sketch import QuantileSketch
 from repro.obs.slo import DEFAULT_RULES, BurnRateRule, SLOMonitor, SLOSpec
 from repro.obs.timeline import (
     NULL_TIMELINE,
@@ -104,11 +104,12 @@ class Observability:
         self.trace_analytics = warehouse.analytics
         self.trace_sampler = warehouse.sampler
         if self.enabled and warehouse.analytics is not None:
-            # End-to-end latency histogram with exemplar trace ids:
-            # every finished trace lands here, the slowest pinned as
-            # the exemplar on the _count sample of the export.
-            warehouse.analytics.latency_histogram = (
-                self.registry.histogram("trace.latency"))
+            # The aggregator's end-to-end duration sketch *is* the
+            # registry's trace.latency histogram, its slowest trace the
+            # exemplar on the _count sample of the export (call before
+            # the first trace finishes).
+            warehouse.analytics.duration = self.registry.histogram(
+                "trace.latency")
 
     def __bool__(self) -> bool:
         return self.enabled
@@ -169,11 +170,9 @@ __all__ = [
     "FaultRecord",
     "FlightRecorder",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ObsRecord",
     "Observability",
-    "P2Quantile",
     "PHASES",
     "QuantileSketch",
     "SLOMonitor",

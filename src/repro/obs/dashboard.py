@@ -163,13 +163,13 @@ _FLAME_COLORS = ("#2a6fb0", "#1f7a4d", "#b4771f", "#7a1fa2", "#d1242f",
                  "#0f766e", "#9a3412", "#4c1d95", "#155e75", "#713f12")
 
 
-def _flame_svg(analytics) -> str:
+def _flame_svg(analytics, q_max: float) -> str:
     """Critical-path flame view: top path patterns as stacked bars.
 
     One row per top path pattern (by observed count); within a row,
     one segment per service sized by its mean critical-path self time,
     over a faint bar showing the pattern's mean end-to-end duration.
-    Hover a segment for mean/P99 self time.
+    Hover a segment for mean and ``q_max``-quantile self time.
     """
     paths = analytics.paths.top(5)
     if not paths:
@@ -200,13 +200,13 @@ def _flame_svg(analytics) -> str:
             if sketch is None or not sketch.count:
                 continue
             seg_w = max(1.0, sketch.mean / scale * plot_w)
-            p99 = sketch.quantile(max(sketch.quantiles()))
+            p99 = sketch.quantile(q_max)
             parts.append(
                 f'<rect x="{x:.1f}" y="{y:.1f}" width="{seg_w:.1f}" '
                 f'height="{row_h}" fill="{color[service]}" '
                 f'stroke="#fafbfd" stroke-width="0.5">'
                 f'<title>{_html.escape(service)}: mean self '
-                f'{sketch.mean * 1e3:.1f}ms · p{max(sketch.quantiles()) * 100:g} '
+                f'{sketch.mean * 1e3:.1f}ms · p{q_max * 100:g} '
                 f'{p99 * 1e3:.1f}ms</title></rect>')
             if seg_w > 7 * len(service):
                 parts.append(
@@ -317,7 +317,9 @@ def render_dashboard_html(obs: "Observability", *,
         parts.append(_panel_svg(name, points, t_lo, t_hi, annotations))
 
     if analytics is not None:
-        q_max = max(analytics.duration.quantiles())
+        from repro.tracing.analytics import QUANTILES
+
+        q_max = max(QUANTILES)
         parts.append("<h2>Critical-path flame view</h2>")
         parts.append(
             f"<p class='summary'>{analytics.traces_observed} traces "
@@ -325,7 +327,7 @@ def render_dashboard_html(obs: "Observability", *,
             f"p{q_max * 100:g} "
             f"{analytics.duration.quantile(q_max) * 1e3:.1f}ms · "
             f"{len(analytics.paths)} path patterns</p>")
-        parts.append(_flame_svg(analytics))
+        parts.append(_flame_svg(analytics, q_max))
     if sampler is not None:
         parts.append("<h2>Sampling coverage</h2>")
         parts.append(_coverage_table(sampler))

@@ -7,8 +7,8 @@ scraped into any Prometheus-compatible tooling:
 
 - registry ``Counter`` → OpenMetrics ``counter`` (``_total`` sample);
 - registry ``Gauge`` → ``gauge``;
-- registry ``Histogram`` → ``summary`` (quantile-labelled samples plus
-  ``_count``/``_sum``);
+- registry histogram (a :class:`~repro.obs.sketch.QuantileSketch`) →
+  ``summary`` (P50/P95 samples plus ``_count``/``_sum``);
 - SLO state → ``repro_slo_*`` families (good/bad totals, compliance,
   budget remaining, per-rule burn rates and firing flags);
 - trace analytics (when a sampler/aggregator is attached, see
@@ -88,14 +88,15 @@ def _exemplar_suffix(trace_id: int, value: float,
 
 def _summary_lines(name: str, sketch, labels: dict[str, str],
                    exemplar=None) -> list[str]:
-    """Quantile/sum/count samples for one QuantileSketch series."""
+    """Quantile/sum/count samples for one trace-analytics sketch."""
+    from repro.tracing.analytics import QUANTILES
+
     lines = []
-    for q in sketch.quantiles():
+    for q in QUANTILES:
         lines.append(
             f"{name}{_labels({**labels, 'quantile': _fmt(q)})} "
             f"{_fmt(sketch.quantile(q))}")
-    lines.append(f"{name}_sum{_labels(labels)} "
-                 f"{_fmt(sketch.mean * sketch.count)}")
+    lines.append(f"{name}_sum{_labels(labels)} {_fmt(sketch.total)}")
     count_line = f"{name}_count{_labels(labels)} {_fmt(sketch.count)}"
     if exemplar is not None:
         count_line += _exemplar_suffix(exemplar.trace_id, exemplar.value,

@@ -1,4 +1,4 @@
-"""Run-scoped metrics registry: counters, gauges, bounded histograms.
+"""Run-scoped metrics registry: counters, gauges, quantile sketches.
 
 The registry is the quantitative half of ``repro.obs``: control loops
 and samplers increment counters and observe timings into it, and the
@@ -12,26 +12,26 @@ Two properties matter more than feature count:
   without giving back the PR-2 fast-path wins. Truly hot paths (the
   event loop, the 100 ms samplers) additionally guard on
   ``if obs:`` so even the no-op call is skipped.
-- **Bounded memory.** Histograms keep a fixed-capacity ring buffer of
-  recent observations (plus running count/sum/min/max over everything),
-  so a week-long run cannot grow the registry without bound.
+- **Bounded memory.** A histogram is the one
+  :class:`~repro.obs.sketch.QuantileSketch`: exact count/sum/min/max
+  and run-lifetime quantiles in memory that grows with the log of the
+  value range, so a week-long run cannot grow the registry without
+  bound.
 """
 
 from __future__ import annotations
 
-import math
 import typing as _t
 
-import numpy as np
+from repro.obs.sketch import QuantileSketch
 
 
 class Counter:
     """A monotonically increasing event count."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -48,10 +48,9 @@ class Counter:
 class Gauge:
     """A point-in-time value (last write wins)."""
 
-    __slots__ = ("name", "value")
+    __slots__ = ("value",)
 
-    def __init__(self, name: str) -> None:
-        self.name = name
+    def __init__(self) -> None:
         self.value = float("nan")
 
     def set(self, value: float) -> None:
@@ -64,94 +63,8 @@ class Gauge:
         return {"type": "gauge", "value": value}
 
 
-class Histogram:
-    """Observation distribution over a bounded ring buffer.
-
-    Running count/sum/min/max cover the whole run; percentiles are
-    computed over the most recent ``capacity`` observations, which is
-    what a control-loop health check actually wants (recent behaviour,
-    not a run-lifetime mixture).
-    """
-
-    __slots__ = ("name", "count", "total", "min", "max",
-                 "_ring", "_cursor", "_filled", "exemplar")
-
-    def __init__(self, name: str, capacity: int = 1024) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.name = name
-        self.count = 0
-        self.total = 0.0
-        self.min = math.inf
-        self.max = -math.inf
-        self._ring = np.empty(capacity, dtype=np.float64)
-        self._cursor = 0
-        self._filled = 0
-        #: Optional ``{"trace_id", "value", "timestamp"}`` exemplar —
-        #: the worst observation with a trace attached (OpenMetrics
-        #: exposition links it on the ``_count`` sample).
-        self.exemplar: dict | None = None
-
-    def observe(self, value: float) -> None:
-        """Record one observation (the ring evicts the oldest)."""
-        value = float(value)
-        self.count += 1
-        self.total += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        ring = self._ring
-        ring[self._cursor] = value
-        self._cursor = (self._cursor + 1) % ring.shape[0]
-        if self._filled < ring.shape[0]:
-            self._filled += 1
-
-    @property
-    def mean(self) -> float:
-        """Run-lifetime mean (not just the retained ring)."""
-        return self.total / self.count if self.count else float("nan")
-
-    def recent(self) -> np.ndarray:
-        """The retained observations (unordered)."""
-        return self._ring[:self._filled]
-
-    def percentile(self, q: float) -> float:
-        """Percentile over the retained (recent) observations."""
-        if self._filled == 0:
-            return float("nan")
-        return float(np.percentile(self.recent(), q))
-
-    def link_exemplar(self, trace_id: int, value: float,
-                      timestamp: float) -> None:
-        """Pin a trace id to ``value``; the largest-valued link wins."""
-        if self.exemplar is None or value > self.exemplar["value"]:
-            self.exemplar = {"trace_id": int(trace_id),
-                             "value": float(value),
-                             "timestamp": float(timestamp)}
-
-    def snapshot(self) -> dict:
-        """JSON-ready summary: run-lifetime stats + recent quantiles."""
-        if self.count == 0:
-            return {"type": "histogram", "count": 0}
-        snap = {
-            "type": "histogram",
-            "count": self.count,
-            "mean": self.mean,
-            "min": self.min,
-            "max": self.max,
-            "p50": self.percentile(50.0),
-            "p95": self.percentile(95.0),
-            "retained": int(self._filled),
-        }
-        if self.exemplar is not None:
-            snap["exemplar"] = dict(self.exemplar)
-        return snap
-
-
 class _NullCounter:
     __slots__ = ()
-    name = "null"
     value = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
@@ -163,7 +76,6 @@ class _NullCounter:
 
 class _NullGauge:
     __slots__ = ()
-    name = "null"
     value = float("nan")
 
     def set(self, value: float) -> None:
@@ -175,20 +87,19 @@ class _NullGauge:
 
 class _NullHistogram:
     __slots__ = ()
-    name = "null"
     count = 0
     total = 0.0
     mean = float("nan")
     exemplar = None
 
-    def observe(self, value: float) -> None:
+    def observe(self, value: float, count: int = 1) -> None:
         pass
 
     def link_exemplar(self, trace_id: int, value: float,
                       timestamp: float) -> None:
         pass
 
-    def percentile(self, q: float) -> float:
+    def quantile(self, q: float) -> float:
         return float("nan")
 
     def snapshot(self) -> dict:
@@ -211,18 +122,17 @@ class MetricsRegistry:
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._instruments: dict[str, Counter | Gauge | Histogram] = {}
+        self._instruments: dict[str, Counter | Gauge | QuantileSketch] = {}
 
     def __bool__(self) -> bool:
         return self.enabled
 
-    def _get(self, name: str, kind: type, null: object,
-             **kwargs) -> _t.Any:
+    def _get(self, name: str, kind: type, null: object) -> _t.Any:
         if not self.enabled:
             return null
         instrument = self._instruments.get(name)
         if instrument is None:
-            instrument = kind(name, **kwargs)
+            instrument = kind()
             self._instruments[name] = instrument
         elif not isinstance(instrument, kind):
             raise TypeError(
@@ -238,10 +148,9 @@ class MetricsRegistry:
         """The gauge named ``name`` (created on first use)."""
         return self._get(name, Gauge, NULL_GAUGE)
 
-    def histogram(self, name: str, capacity: int = 1024) -> Histogram:
-        """The histogram named ``name`` (created on first use)."""
-        return self._get(name, Histogram, NULL_HISTOGRAM,
-                         capacity=capacity)
+    def histogram(self, name: str) -> QuantileSketch:
+        """The quantile sketch named ``name`` (created on first use)."""
+        return self._get(name, QuantileSketch, NULL_HISTOGRAM)
 
     def names(self) -> list[str]:
         """Sorted names of every registered instrument."""

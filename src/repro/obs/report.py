@@ -137,8 +137,10 @@ _LOCALIZATION_HEADERS = ["t[s]", "critical", "top correlations",
 
 def _trace_analytics_rows(analytics) -> list[list[str]]:
     """Per-service streaming critical-path aggregates, worst first."""
+    from repro.tracing.analytics import QUANTILES
+
     rows = []
-    q_hi = max(analytics.duration.quantiles())
+    q_hi = max(QUANTILES)
     for service in sorted(
             analytics.services(),
             key=lambda s: -analytics.self_time[s].mean):

@@ -1,291 +1,178 @@
-"""Streaming quantile estimation (the P² algorithm).
+"""Streaming quantiles: one log-bucketed, relative-error sketch.
 
-The telemetry pipeline needs per-service latency percentiles *while the
-run unfolds* — P50/P99 series sampled every second — without retaining
-every raw latency sample the way a post-hoc ``np.percentile`` over the
-full window would. :class:`P2Quantile` implements the classic P²
-algorithm (Jain & Chlamtac, CACM 1985): five markers per tracked
-quantile, adjusted with a piecewise-parabolic prediction on every
-observation. Memory is O(1) per quantile; the estimate converges to the
-true quantile for i.i.d. streams and stays inside the observed
-``[min, max]`` envelope unconditionally.
+The telemetry pipeline needs latency percentiles *while the run
+unfolds* — per-service critical-path self times, end-to-end durations,
+the controller's own recommendation latency — without retaining every
+raw sample. :class:`QuantileSketch` is the one mechanism for all of
+them, in the style of DDSketch (Masson et al., VLDB 2019): a value
+``v > 0`` lands in the integer bucket ``ceil(log(v) / log(gamma))``
+with ``gamma = (1 + ALPHA) / (1 - ALPHA)``, zeros in a bucket of their
+own, so every quantile is answered to within relative error
+:data:`ALPHA` of an observed value at that rank.
 
-:class:`QuantileSketch` bundles several P² estimators behind one
-``observe`` call — the shape the timeline pump feeds (one latency
-stream, a handful of tracked quantiles).
+An insert is one ``log`` and one dict update, and a count-weighted
+insert (``observe(v, n)``) costs the same, so a batch of identical
+values is one call. Memory grows with the log of the value range
+(about 115 buckets per decade), not with the number of observations.
+Count, sum, min and max are exact; quantiles are clamped to the
+observed ``[min, max]``.
 
-Accuracy expectations (bounded by the property tests): the estimate is
-*exact* until five observations arrive, tracks shuffled draws from
-heavy-tailed and multi-modal distributions to within a few percent of
-quantile rank, and degrades gracefully (never outside the data range)
-on adversarial sorted streams.
+The metrics registry hands out this class as its histogram instrument,
+so it carries one optional exemplar slot (the worst observation with a
+trace attached) for the OpenMetrics exposition.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import typing as _t
 
-__all__ = ["P2Quantile", "QuantileSketch"]
+__all__ = ["ALPHA", "Exemplar", "QuantileSketch"]
+
+#: Relative accuracy of every quantile estimate.
+ALPHA = 0.01
+_GAMMA = (1.0 + ALPHA) / (1.0 - ALPHA)
+_LOG_GAMMA = math.log(_GAMMA)
+#: Log of the value a bucket reports, relative to its upper bound
+#: ``gamma**i``: ``2 * gamma**i / (gamma + 1)`` sits within ALPHA of
+#: every value in ``(gamma**(i-1), gamma**i]``.
+_LOG_MIDPOINT = math.log(2.0 / (_GAMMA + 1.0))
+_LOG_MAX_FLOAT = math.log(sys.float_info.max)
+_INF = math.inf
 
 
-class P2Quantile:
-    """One streaming quantile estimate via the P² algorithm.
+class Exemplar(_t.NamedTuple):
+    """A trace id pinned to a metric value, OpenMetrics-style."""
 
-    Args:
-        q: quantile in (0, 1), e.g. ``0.99`` for P99.
-    """
-
-    __slots__ = ("q", "_inc", "_heights", "_positions", "_desired",
-                 "_count")
-
-    def __init__(self, q: float) -> None:
-        if not 0.0 < q < 1.0:
-            raise ValueError(f"quantile must be in (0, 1), got {q}")
-        self.q = q
-        #: Per-observation desired-position increments for the three
-        #: interior markers (q/2, q, (1+q)/2); hoisted out of the hot
-        #: observe() loop.
-        self._inc = (q / 2.0, q, (1.0 + q) / 2.0)
-        #: Marker heights h_1..h_5 (estimates of min, q/2, q, (1+q)/2,
-        #: max quantiles once warm).
-        self._heights: list[float] = []
-        #: Actual marker positions n_1..n_5 (1-based observation ranks).
-        self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-        #: Desired marker positions n'_1..n'_5.
-        self._desired = [1.0, 1.0, 1.0, 1.0, 1.0]
-        self._count = 0
-
-    @property
-    def count(self) -> int:
-        """Observations consumed so far."""
-        return self._count
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the five-marker state."""
-        value = float(value)
-        self._count += 1
-        heights = self._heights
-        if self._count <= 5:
-            # Warm-up: collect the first five observations exactly.
-            heights.append(value)
-            heights.sort()
-            if self._count == 5:
-                q = self.q
-                self._positions = [1.0, 2.0, 3.0, 4.0, 5.0]
-                self._desired = [1.0, 1.0 + 2.0 * q, 1.0 + 4.0 * q,
-                                 3.0 + 2.0 * q, 5.0]
-            return
-
-        positions = self._positions
-        # Locate the cell containing the new observation, stretching
-        # the extreme markers when it falls outside the envelope.
-        if value < heights[0]:
-            heights[0] = value
-            cell = 0
-        elif value >= heights[4]:
-            heights[4] = value
-            cell = 3
-        else:
-            cell = 0
-            while value >= heights[cell + 1]:
-                cell += 1
-        for index in range(cell + 1, 5):
-            positions[index] += 1.0
-        inc = self._inc
-        desired = self._desired
-        desired[1] += inc[0]
-        desired[2] += inc[1]
-        desired[3] += inc[2]
-        desired[4] += 1.0
-
-        # Adjust the three interior markers toward their desired
-        # positions: parabolic (P²) prediction when it keeps marker
-        # heights ordered, linear interpolation otherwise.
-        for index in (1, 2, 3):
-            drift = desired[index] - positions[index]
-            if (drift >= 1.0 and
-                    positions[index + 1] - positions[index] > 1.0) or \
-               (drift <= -1.0 and
-                    positions[index - 1] - positions[index] < -1.0):
-                step = 1.0 if drift >= 1.0 else -1.0
-                candidate = self._parabolic(index, step)
-                if heights[index - 1] < candidate < heights[index + 1]:
-                    heights[index] = candidate
-                else:
-                    heights[index] = self._linear(index, step)
-                positions[index] += step
-
-    def _parabolic(self, index: int, step: float) -> float:
-        heights, positions = self._heights, self._positions
-        n_prev, n_here, n_next = (positions[index - 1], positions[index],
-                                  positions[index + 1])
-        h_prev, h_here, h_next = (heights[index - 1], heights[index],
-                                  heights[index + 1])
-        return h_here + step / (n_next - n_prev) * (
-            (n_here - n_prev + step) * (h_next - h_here) /
-            (n_next - n_here) +
-            (n_next - n_here - step) * (h_here - h_prev) /
-            (n_here - n_prev))
-
-    def _linear(self, index: int, step: float) -> float:
-        heights, positions = self._heights, self._positions
-        neighbor = index + int(step)
-        return self._heights[index] + step * \
-            (heights[neighbor] - heights[index]) / \
-            (positions[neighbor] - positions[index])
-
-    def state_dict(self) -> dict:
-        """JSON-ready exact marker state (floats round-trip bit-exact)."""
-        return {
-            "count": self._count,
-            "heights": list(self._heights),
-            "positions": list(self._positions),
-            "desired": list(self._desired),
-        }
-
-    def load_state(self, state: dict) -> None:
-        """Inverse of :meth:`state_dict` (quantile ``q`` must match)."""
-        self._count = int(state["count"])
-        self._heights = [float(h) for h in state["heights"]]
-        self._positions = [float(p) for p in state["positions"]]
-        self._desired = [float(d) for d in state["desired"]]
-
-    def value(self) -> float:
-        """The current quantile estimate (NaN before any observation).
-
-        Exact while fewer than five observations have arrived (computed
-        over the sorted warm-up buffer); the P² center marker afterwards.
-        """
-        count = self._count
-        if count == 0:
-            return float("nan")
-        heights = self._heights
-        if count < 5:
-            # Exact small-sample quantile (nearest-rank with linear
-            # interpolation, matching numpy's default).
-            rank = self.q * (count - 1)
-            low = int(math.floor(rank))
-            high = min(low + 1, count - 1)
-            frac = rank - low
-            # a + f*(b-a) clamped: the weighted-sum form can round a
-            # hair past the envelope when a == b (observed at 1 ulp).
-            estimate = heights[low] + frac * (heights[high] - heights[low])
-            return min(max(estimate, heights[low]), heights[high])
-        return heights[2]
+    trace_id: int
+    value: float
+    timestamp: float
 
 
 class QuantileSketch:
-    """Several P² quantiles over one observation stream.
+    """Count-weighted quantile sketch over finite values ``>= 0``.
 
-    Args:
-        quantiles: tracked quantiles in (0, 1); defaults to the
-            dashboard's P50/P99 pair.
+    ``quantile(q)`` answers any ``q`` in ``[0, 1]``: the estimate lies
+    within relative error :data:`ALPHA` of the observation at rank
+    ``floor(q * (count - 1))``.
     """
 
-    __slots__ = ("_estimators", "_p2", "_count", "_total", "_min",
-                 "_max")
+    __slots__ = ("count", "total", "min", "max", "zero", "bins",
+                 "exemplar")
 
-    def __init__(self, quantiles: _t.Sequence[float] = (0.5, 0.99)
-                 ) -> None:
-        if not quantiles:
-            raise ValueError("need at least one tracked quantile")
-        self._estimators = {float(q): P2Quantile(q)
-                            for q in sorted(set(quantiles))}
-        self._p2 = tuple(self._estimators.values())
-        self._count = 0
-        self._total = 0.0
-        self._min = math.inf
-        self._max = -math.inf
-
-    @property
-    def count(self) -> int:
-        """Observations consumed so far."""
-        return self._count
+    def __init__(self) -> None:
+        self.count = 0
+        self.total = 0.0
+        self.min = _INF
+        self.max = -_INF
+        #: Observations equal to zero.
+        self.zero = 0
+        #: Bucket index -> count, for positive observations.
+        self.bins: dict[int, int] = {}
+        #: The largest value linked to a trace (see
+        #: :meth:`link_exemplar`); not part of :meth:`state_dict`.
+        self.exemplar: Exemplar | None = None
 
     @property
     def mean(self) -> float:
         """Running mean (NaN before any observation)."""
-        return self._total / self._count if self._count else float("nan")
+        return self.total / self.count if self.count else float("nan")
 
-    @property
-    def minimum(self) -> float:
-        """Smallest observation (inf before any observation)."""
-        return self._min
+    def observe(self, value: float, count: int = 1) -> None:
+        """Fold ``count >= 1`` observations of ``value`` into the
+        sketch.
 
-    @property
-    def maximum(self) -> float:
-        """Largest observation (-inf before any observation)."""
-        return self._max
-
-    def quantiles(self) -> tuple[float, ...]:
-        """The tracked quantiles, ascending."""
-        return tuple(self._estimators)
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into every tracked quantile."""
+        Raises:
+            ValueError: ``value`` is NaN, infinite or negative.
+        """
         value = float(value)
-        self._count += 1
-        self._total += value
-        if value < self._min:
-            self._min = value
-        if value > self._max:
-            self._max = value
-        for estimator in self._p2:
-            estimator.observe(value)
-
-    def observe_many(self, values: _t.Iterable[float]) -> None:
-        """Fold a batch of observations (order preserved)."""
-        for value in values:
-            self.observe(value)
+        if not 0.0 <= value < _INF:
+            raise ValueError(
+                f"sketch values must be finite and >= 0, got {value!r}")
+        self.count += count
+        self.total += value * count
+        if value < self.min:
+            self.min = value
+        if value > self.max:
+            self.max = value
+        if value > 0.0:
+            index = math.ceil(math.log(value) / _LOG_GAMMA)
+            bins = self.bins
+            bins[index] = bins.get(index, 0) + count
+        else:
+            self.zero += count
 
     def quantile(self, q: float) -> float:
-        """Current estimate for tracked quantile ``q`` (NaN if empty)."""
-        estimator = self._estimators.get(float(q))
-        if estimator is None:
-            raise KeyError(
-                f"quantile {q} is not tracked (have: "
-                f"{sorted(self._estimators)})")
-        return estimator.value()
+        """The ``q``-quantile estimate (NaN before any observation)."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        if not self.count:
+            return float("nan")
+        rank = q * (self.count - 1)
+        seen = self.zero
+        estimate = 0.0
+        if seen <= rank:
+            bins = self.bins
+            for index in sorted(bins):
+                seen += bins[index]
+                if seen > rank:
+                    break
+            estimate = math.exp(min(index * _LOG_GAMMA + _LOG_MIDPOINT,
+                                    _LOG_MAX_FLOAT))
+        return min(max(estimate, self.min), self.max)
+
+    def link_exemplar(self, trace_id: int, value: float,
+                      timestamp: float) -> None:
+        """Pin a trace id to ``value``; the largest-valued link wins."""
+        if self.exemplar is None or value > self.exemplar.value:
+            self.exemplar = Exemplar(int(trace_id), float(value),
+                                     float(timestamp))
 
     def state_dict(self) -> dict:
-        """JSON-ready exact state for checkpoint/restore.
-
-        Unlike :meth:`snapshot` (a rounded human-facing summary), this
-        captures every internal float verbatim so a restored sketch
-        continues the stream indistinguishably from the original.
-        """
+        """JSON-ready exact state (buckets ascending by index)."""
         return {
-            "count": self._count,
-            "total": self._total,
-            "min": self._min,
-            "max": self._max,
-            "estimators": {f"{q!r}": est.state_dict()
-                           for q, est in self._estimators.items()},
+            "count": self.count,
+            "sum": self.total,
+            "min": self.min,
+            "max": self.max,
+            "zero": self.zero,
+            "bins": [[index, self.bins[index]]
+                     for index in sorted(self.bins)],
         }
+
+    def load_state(self, state: dict) -> None:
+        """Inverse of :meth:`state_dict`, in place (keeps the
+        exemplar)."""
+        self.count = int(state["count"])
+        self.total = float(state["sum"])
+        self.min = float(state["min"])
+        self.max = float(state["max"])
+        self.zero = int(state["zero"])
+        self.bins = {int(index): int(count)
+                     for index, count in state["bins"]}
 
     @classmethod
     def from_state(cls, state: dict) -> "QuantileSketch":
-        """Inverse of :meth:`state_dict`."""
-        quantiles = [float(q) for q in state["estimators"]]
-        sketch = cls(quantiles)
-        sketch._count = int(state["count"])
-        sketch._total = float(state["total"])
-        sketch._min = float(state["min"])
-        sketch._max = float(state["max"])
-        for key, est_state in state["estimators"].items():
-            sketch._estimators[float(key)].load_state(est_state)
+        """A new sketch holding :meth:`state_dict` output ``state``."""
+        sketch = cls()
+        sketch.load_state(state)
         return sketch
 
     def snapshot(self) -> dict:
-        """JSON-ready summary (count/mean/min/max + tracked quantiles)."""
-        if self._count == 0:
-            return {"count": 0}
-        return {
-            "count": self._count,
+        """JSON-ready summary: exact count/mean/min/max, P50/P95, and
+        the exemplar when one is linked."""
+        if not self.count:
+            return {"type": "histogram", "count": 0}
+        snap = {
+            "type": "histogram",
+            "count": self.count,
             "mean": self.mean,
-            "min": self._min,
-            "max": self._max,
-            "quantiles": {f"{q:g}": est.value()
-                          for q, est in self._estimators.items()},
+            "min": self.min,
+            "max": self.max,
+            "p50": self.quantile(0.5),
+            "p95": self.quantile(0.95),
         }
+        if self.exemplar is not None:
+            snap["exemplar"] = self.exemplar._asdict()
+        return snap

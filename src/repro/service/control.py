@@ -20,10 +20,10 @@ control round re-runs the paper's pipeline over its streaming state:
 Every round appends a :class:`~repro.obs.events.ControlRoundRecord` to
 the decision log, with ``wall_ms`` unset: the audit trail must replay
 byte-identically from the journal, and wall clocks do not replay. Wall
-latencies feed the service's *own* observability instead — a P² sketch
-and histogram of per-recommendation latency (each one's share of its
-round's estimation batch) and an SLO monitor on the controller itself,
-exported over OpenMetrics.
+latencies feed the service's *own* observability instead — a quantile
+sketch of per-recommendation latency (each one's share of its round's
+estimation batch, the registry's histogram of that name) and an SLO
+monitor on the controller itself, exported over OpenMetrics.
 
 Determinism contract: given the same sequence of
 ``ingest_metrics`` / ``ingest_traces`` / ``tick`` calls (with the
@@ -74,6 +74,29 @@ CONTROLLER_NAME = "service"
 MAX_ALLOCATION = 2 ** 53
 
 
+def _fold_p2_state(legacy: dict) -> dict:
+    """A version-1 checkpoint's P² sketch state as a sketch state.
+
+    The markers of every tracked quantile form one step CDF: each
+    marker height is observed with the weight of its rank minus the
+    previous marker's rank (the weights sum to the count). Count, sum,
+    min and max carry over exactly.
+    """
+    heights_by_rank: dict[float, float] = {}
+    for markers in legacy["estimators"].values():
+        # Warm-up states hold fewer heights than positions.
+        heights_by_rank.update(zip(markers["positions"],
+                                   markers["heights"]))
+    sketch = QuantileSketch()
+    previous = 0.0
+    for rank in sorted(heights_by_rank):
+        sketch.observe(heights_by_rank[rank], int(rank - previous))
+        previous = rank
+    return {**sketch.state_dict(), "count": int(legacy["count"]),
+            "sum": float(legacy["total"]), "min": float(legacy["min"]),
+            "max": float(legacy["max"])}
+
+
 class ControlPlane:
     """Transport-free online controller over streaming telemetry.
 
@@ -108,10 +131,11 @@ class ControlPlane:
         # families a simulator run exports (repro_trace_*), exemplars
         # included.
         self.obs.trace_analytics = self.analytics
-        self.analytics.latency_histogram = (
-            self.obs.registry.histogram("trace.latency"))
-        #: Per-recommendation wall latency in seconds (P50/P99).
-        self.latency = QuantileSketch((0.5, 0.99))
+        self.analytics.duration = self.obs.registry.histogram(
+            "trace.latency")
+        #: Per-recommendation wall latency in seconds.
+        self.latency = self.obs.registry.histogram(
+            "service.recommendation.latency")
 
         self._store = SeriesStore()
         #: Per-trace ``service -> upstream self-time budget`` along the
@@ -333,25 +357,21 @@ class ControlPlane:
                          now: float) -> None:
         """Feed one estimation batch's wall seconds to the controller's
         own latency telemetry: the batch wall once into the
-        decisions/s total, each of the ``count`` recommendations'
-        amortized share into the sketch and histogram, and all of them
-        into the SLO monitor as one good or bad count."""
+        decisions/s total, and the ``count`` recommendations' amortized
+        share as one weighted insert into the latency sketch and one
+        good or bad count into the SLO monitor."""
         self._wall_total += wall
         share = wall / count
-        histogram = self.obs.registry.histogram(
-            "service.recommendation.latency")
         slo = self.obs.slo
         assert slo is not None
-        for _ in range(count):
-            self.latency.observe(share)
-            histogram.observe(share)
+        self.latency.observe(share, count)
         good = count if share <= slo.spec.latency_threshold else 0
         slo.observe_counts(now, good, count - good)
         # Exemplar: pin the slowest recommendation to the self-trace
         # of the round that produced it, so the `/metrics` scrape links
         # straight into `/debug/rounds/{id}` (a round's recommendations
         # share one latency, so one link per round suffices).
-        histogram.link_exemplar(self.rounds + 1, share, now)
+        self.latency.link_exemplar(self.rounds + 1, share, now)
 
     def tick(self, now: float | None = None,
              trigger: str = "cadence") -> ControlRoundRecord:
@@ -455,13 +475,16 @@ class ControlPlane:
         the span processing times beside it, current recommendations
         (the ``before`` baseline), counters, the logical clock, and
         the critical-path aggregator (correlations + top-k paths +
-        sketches). Wall-clock artifacts (latency sketches, the SLO
+        sketches). Wall-clock artifacts (the latency sketch, the SLO
         monitor, the flight recorder) are deliberately excluded — they
         never reach decision records, so a restored plane replays the
         journal tail byte-identically without them.
+
+        Version 2 holds the log-bucketed sketches; :meth:`restore`
+        still reads version 1, whose sketches were P² marker states.
         """
         return {
-            "version": 1,
+            "version": 2,
             "now": self.now,
             "rounds": self.rounds,
             "snapshots_ingested": self.snapshots_ingested,
@@ -481,7 +504,7 @@ class ControlPlane:
     def restore(self, state: dict) -> None:
         """Inverse of :meth:`checkpoint` (call on a fresh plane)."""
         version = state.get("version")
-        if version != 1:
+        if version not in (1, 2):
             raise ValueError(
                 f"unsupported checkpoint version {version!r}")
         cfg = self.config
@@ -508,7 +531,16 @@ class ControlPlane:
         self.recommendations = {
             name: Recommendation(**payload)
             for name, payload in state["recommendations"].items()}
-        self.analytics.load_state(state["analytics"])
+        analytics = state["analytics"]
+        if version == 1:
+            analytics = {
+                **analytics,
+                "duration": _fold_p2_state(analytics["duration"]),
+                "self_time": {
+                    service: _fold_p2_state(sketch)
+                    for service, sketch
+                    in analytics["self_time"].items()}}
+        self.analytics.load_state(analytics)
 
     def seed_decisions(self, lines: _t.Sequence[str]) -> None:
         """Install decision JSONL lines preserved by a checkpoint.

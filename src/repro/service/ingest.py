@@ -209,7 +209,9 @@ def parse_trace_batch(body: str | bytes) -> list[Span]:
     Raises:
         IngestError: ``"bad-json"`` when the body is not JSON,
             ``"bad-jaeger"`` when the document parses but lacks the
-            ``data[].spans[]`` shape (or a trace has no root span).
+            ``data[].spans[]`` shape, a trace has no root span, or a
+            span lacks a finite start time and a finite, non-negative
+            duration.
     """
     if isinstance(body, bytes):
         body = body.decode("utf-8", errors="replace")

@@ -7,8 +7,9 @@ critical path into bounded-memory aggregates *before* any sampling
 decision, so localization and the explainability report can run off
 aggregates even when the warehouse stores 5% of traces:
 
-* per-service P² sketches (:class:`~repro.obs.sketch.QuantileSketch`)
-  of critical-path **self time** (the paper's :math:`PT_{s_i}`) and of
+* per-service quantile sketches
+  (:class:`~repro.obs.sketch.QuantileSketch`) of critical-path **self
+  time** (the paper's :math:`PT_{s_i}`), and running means of
   **contribution** (self time as a fraction of path duration);
 * streaming Pearson accumulators per service over the same
   ``(PT_s, RT_CP)`` pairs the exhaustive
@@ -31,11 +32,11 @@ from __future__ import annotations
 import math
 import typing as _t
 
-from repro.obs.sketch import QuantileSketch
+from repro.obs.sketch import Exemplar, QuantileSketch
 from repro.tracing.critical_path import CriticalPath
 from repro.tracing.span import Span
 
-#: Quantiles tracked by every sketch in the aggregator.
+#: Quantiles the exporters report for every sketch in the aggregator.
 QUANTILES = (0.5, 0.95, 0.99)
 
 
@@ -164,9 +165,9 @@ class TopKPaths:
 class MeanAccumulator:
     """Running count/mean, the cheap sibling of a quantile sketch.
 
-    Contribution fractions only ever surface as means (report column,
-    snapshot), so tracking full P² markers for them would double the
-    per-trace sketch cost for nothing.
+    Contribution fractions only ever surface as means (the report
+    column), so a quantile sketch for them would double the per-trace
+    sketch cost for nothing.
     """
 
     __slots__ = ("count", "_total")
@@ -183,9 +184,6 @@ class MeanAccumulator:
     def mean(self) -> float:
         return self._total / self.count if self.count else 0.0
 
-    def snapshot(self) -> dict:
-        return {"count": self.count, "mean": self.mean}
-
     def state_dict(self) -> list[float]:
         return [self.count, self._total]
 
@@ -194,28 +192,19 @@ class MeanAccumulator:
         self._total = float(state[1])
 
 
-class Exemplar(_t.NamedTuple):
-    """A trace id pinned to a metric value, OpenMetrics-style."""
-
-    trace_id: int
-    value: float
-    timestamp: float
-
-
 class CriticalPathAggregator:
     """Folds finished traces into per-service critical-path aggregates.
 
     Args:
-        quantiles: quantiles every sketch tracks.
         top_k: capacity of the path-pattern heavy-hitter table.
     """
 
-    def __init__(self, quantiles: _t.Sequence[float] = QUANTILES,
-                 top_k: int = 32) -> None:
-        self.quantiles = tuple(quantiles)
+    def __init__(self, top_k: int = 32) -> None:
         self.traces_observed = 0
-        #: End-to-end critical-path duration sketch (RT_CP).
-        self.duration = QuantileSketch(self.quantiles)
+        #: End-to-end critical-path duration sketch (RT_CP), its
+        #: exemplar the slowest trace; an observability scope installs
+        #: its ``trace.latency`` histogram here.
+        self.duration = QuantileSketch()
         #: service -> PT_s sketch along critical paths.
         self.self_time: dict[str, QuantileSketch] = {}
         #: service -> PT_s / RT_CP contribution-fraction mean.
@@ -223,14 +212,13 @@ class CriticalPathAggregator:
         #: service -> streaming PCC(PT_s, RT_CP).
         self._pearson: dict[str, StreamingPearson] = {}
         self.paths = TopKPaths(capacity=top_k)
-        #: Slowest end-to-end trace seen so far.
-        self.slowest: Exemplar | None = None
         #: service -> slowest critical-path self-time exemplar.
         self.slowest_by_service: dict[str, Exemplar] = {}
-        #: Optional :class:`~repro.obs.registry.Histogram` fed every
-        #: end-to-end duration with the trace id linked as exemplar
-        #: (wired by ``Observability.attach_trace_analytics``).
-        self.latency_histogram = None
+
+    @property
+    def slowest(self) -> Exemplar | None:
+        """Slowest end-to-end trace seen so far."""
+        return self.duration.exemplar
 
     # ------------------------------------------------------------------
     # Ingest
@@ -245,12 +233,7 @@ class CriticalPathAggregator:
         departed = _t.cast(float, root.departure)
         self.traces_observed += 1
         self.duration.observe(duration)
-        if self.slowest is None or duration > self.slowest.value:
-            self.slowest = Exemplar(root.trace_id, duration, departed)
-        if self.latency_histogram is not None:
-            self.latency_histogram.observe(duration)
-            self.latency_histogram.link_exemplar(
-                root.trace_id, duration, departed)
+        self.duration.link_exemplar(root.trace_id, duration, departed)
         self.paths.offer(path.services, duration)
         inv = 1.0 / duration if duration > 0.0 else 0.0
         self_time = self.self_time
@@ -260,8 +243,7 @@ class CriticalPathAggregator:
         for service, pt in zip(path.services, path.processing):
             sketch = self_time.get(service)
             if sketch is None:
-                sketch = self_time[service] = QuantileSketch(
-                    self.quantiles)
+                sketch = self_time[service] = QuantileSketch()
                 contribution[service] = MeanAccumulator()
                 pearson[service] = StreamingPearson()
             sketch.observe(pt)
@@ -292,9 +274,8 @@ class CriticalPathAggregator:
         """Exact aggregate state for checkpoint/restore.
 
         Everything a restored aggregator needs to keep producing the
-        same correlations, path frequencies, and exemplars it would
-        have produced without the restart; ``latency_histogram`` is an
-        externally wired observer and deliberately not captured.
+        same correlations, path frequencies, sketches and exemplars it
+        would have produced without the restart.
         """
         return {
             "traces_observed": self.traces_observed,
@@ -316,9 +297,10 @@ class CriticalPathAggregator:
         }
 
     def load_state(self, state: dict) -> None:
-        """Inverse of :meth:`state_dict` (quantiles must match)."""
+        """Inverse of :meth:`state_dict`. The duration sketch loads in
+        place, so a registry holding it keeps seeing the aggregator's."""
         self.traces_observed = int(state["traces_observed"])
-        self.duration = QuantileSketch.from_state(state["duration"])
+        self.duration.load_state(state["duration"])
         self.self_time = {
             service: QuantileSketch.from_state(sketch_state)
             for service, sketch_state in state["self_time"].items()}
@@ -333,32 +315,10 @@ class CriticalPathAggregator:
             acc.load_state(moments)
             self._pearson[service] = acc
         self.paths.load_state(state["paths"])
-        self.slowest = (Exemplar(int(state["slowest"][0]),
-                                 float(state["slowest"][1]),
-                                 float(state["slowest"][2]))
-                        if state["slowest"] is not None else None)
+        self.duration.exemplar = (
+            Exemplar(int(state["slowest"][0]), float(state["slowest"][1]),
+                     float(state["slowest"][2]))
+            if state["slowest"] is not None else None)
         self.slowest_by_service = {
             service: Exemplar(int(raw[0]), float(raw[1]), float(raw[2]))
             for service, raw in state["slowest_by_service"].items()}
-
-    def snapshot(self) -> dict:
-        """JSON-ready summary of every aggregate."""
-        return {
-            "traces_observed": self.traces_observed,
-            "duration": self.duration.snapshot(),
-            "services": {
-                service: {
-                    "self_time": self.self_time[service].snapshot(),
-                    "contribution": self.contribution[service].snapshot(),
-                    "correlation": round(
-                        self._pearson[service].value(), 6),
-                    "exemplar": (
-                        self.slowest_by_service[service]._asdict()
-                        if service in self.slowest_by_service else None),
-                }
-                for service in self.services()
-            },
-            "top_paths": self.paths.top(10),
-            "slowest": (self.slowest._asdict()
-                        if self.slowest is not None else None),
-        }

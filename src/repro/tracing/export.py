@@ -10,6 +10,7 @@ can inspect simulated request flows exactly like production ones.
 from __future__ import annotations
 
 import json
+import math
 import typing as _t
 from bisect import bisect_right
 
@@ -187,6 +188,13 @@ def _trace_from_jaeger(element: dict) -> Span:
     root_id: str | None = None
     for span_dict in element["spans"]:
         arrival = (span_dict["startTime"] - EPOCH_US) / 1e6
+        duration_us = span_dict.get("duration", 0)
+        # Critical-path durations feed quantile sketches, whose domain
+        # is finite and non-negative.
+        if not (math.isfinite(arrival) and 0 <= duration_us < math.inf):
+            raise ValueError(
+                f"span {span_dict['spanID']} needs a finite startTime "
+                f"and a finite, non-negative duration")
         span = Span(trace_id=trace_id,
                     service=span_dict["processID"],
                     operation=_tag_value(span_dict, "operation") or "",
@@ -196,7 +204,7 @@ def _trace_from_jaeger(element: dict) -> Span:
         # value so export -> import -> export is a fixed point.
         span.span_id = int(span_dict["spanID"], 16)
         queue_wait_us = _tag_value(span_dict, "queue_wait_us") or 0
-        span.departure = arrival + span_dict.get("duration", 0) / 1e6
+        span.departure = arrival + duration_us / 1e6
         # Foreign documents may omit the queue_wait tag or carry one
         # larger than a (zero-)duration span; clamp so service start
         # never passes departure.

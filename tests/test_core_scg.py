@@ -10,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import aggregate_scatter, find_knee
 from repro.core import SCGModel, SCTModel, ScatterModelConfig, scg
@@ -269,19 +271,13 @@ class TestEstimateMany:
         assert awkward_estimates[0].samples == 240  # idle ones count
         assert awkward_estimates[1].max_concurrency == 15.0
 
-    def test_non_finite_windows_fall_back_and_stay_isolated(self):
+    def test_non_finite_windows_get_no_estimate_and_stay_isolated(self):
         windows = self.mixed_windows()
         model = SCGModel()
-        with np.errstate(invalid="ignore"):
-            batched = model.estimate_many(windows)
-        for estimate in batched[-2:]:
-            # A NaN or inf rate poisons only its own fit: no knee, and
-            # the argmax of an all-NaN curve is its first level.
-            assert estimate is not None
-            assert estimate.method == "argmax"
-            assert estimate.optimal_concurrency == 1
-            assert not estimate.knee.found
-            assert np.isnan(estimate.fit.y).all()
+        batched = model.estimate_many(windows)
+        # A NaN or inf rate would turn its window's whole fit to NaN
+        # (whose argmax, the first level, used to be recommended).
+        assert batched[-2:] == [None, None]
         clean = model.estimate_many(windows[:-2])
         for with_bad, without in zip(batched, clean):
             assert_same_estimate(with_bad, without)
@@ -293,6 +289,63 @@ class TestEstimateMany:
 
     def test_empty_batch(self):
         assert SCGModel().estimate_many([]) == []
+
+
+def _adversarial(kind: str, index: int) -> tuple[np.ndarray, np.ndarray]:
+    """One hostile window: a clean saturating one with sample ``index``
+    (or the whole window) broken the way ``kind`` names."""
+    q, gp = saturating_pairs(np.random.default_rng(99))
+    index %= q.size
+    if kind in ("nan", "inf", "-inf"):
+        gp[index] = float(kind)
+    elif kind == "huge":
+        q, gp = q * 1e300, gp * 1e300
+    elif kind == "tiny":
+        q, gp = q * 1e-300, gp * 1e-300
+    elif kind == "huge-rate":
+        gp[index] = 1e300
+    elif kind == "one-level":
+        q = np.full(q.size, 4.0)
+    elif kind == "negative":
+        q, gp = -q, -gp
+    elif kind == "negative-rate":
+        gp = -gp
+    elif kind == "repeated-level":
+        q = np.where(q > 10.0, 10.0, q)
+    return q, gp
+
+
+#: Clean windows the adversarial one is placed among.
+_CLEAN = [saturating_pairs(np.random.default_rng(seed), knee=3.0 + seed)
+          for seed in range(6)]
+
+
+class TestAdversarialWindow:
+    """One bad window among clean ones is contained to itself."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from([
+               "nan", "inf", "-inf", "huge", "tiny", "huge-rate",
+               "one-level", "negative", "negative-rate",
+               "repeated-level"]),
+           index=st.integers(0, 10_000),
+           clean=st.integers(1, len(_CLEAN)),
+           position=st.integers(0, len(_CLEAN)))
+    def test_one_bad_window_leaves_the_others_alone(self, kind, index,
+                                                    clean, position):
+        windows = _CLEAN[:clean]
+        position = min(position, clean)
+        bad = _adversarial(kind, index)
+        mixed = windows[:position] + [bad] + windows[position:]
+        model = SCGModel()
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            estimates = model.estimate_many(mixed)
+            alone = model.estimate_many(windows)
+        rest = estimates[:position] + estimates[position + 1:]
+        assert pickle.dumps(rest) == pickle.dumps(alone)
+        if not np.isfinite(bad[1]).all():
+            assert estimates[position] is None
 
 
 class TestRowBlocks:
@@ -325,7 +378,7 @@ class TestRowBlocks:
             assert model.last_workers == workers
             singles = [model.estimate(q, gp) for q, gp in windows]
         assert batched[5] is None
-        assert batched[20] is not None and batched[20].method == "argmax"
+        assert batched[20] is None  # a NaN rate
         assert {estimate.method for estimate in batched
                 if estimate is not None} == {"knee", "argmax"}
         for one_of_many, alone in zip(batched, singles):

@@ -14,8 +14,8 @@ from repro.obs import (
     DecisionLog,
     DriftRecord,
     FlightRecorder,
-    Histogram,
     MetricsRegistry,
+    QuantileSketch,
     Observability,
     ScaleEventRecord,
     TargetDecision,
@@ -47,7 +47,8 @@ class TestRegistry:
         assert registry.gauge("g").value == 7.0
 
     def test_histogram_running_aggregates_cover_everything(self):
-        hist = Histogram("h", capacity=8)
+        hist = MetricsRegistry().histogram("h")
+        assert isinstance(hist, QuantileSketch)
         for value in range(100):
             hist.observe(float(value))
         assert hist.count == 100
@@ -55,18 +56,20 @@ class TestRegistry:
         assert hist.max == 99.0
         assert hist.mean == pytest.approx(49.5)
 
-    def test_histogram_ring_is_bounded_and_recent(self):
-        hist = Histogram("h", capacity=8)
-        for value in range(100):
+    def test_histogram_quantiles_cover_the_run_lifetime(self):
+        hist = MetricsRegistry().histogram("h")
+        for value in range(1, 2001):
             hist.observe(float(value))
-        recent = hist.recent()
-        assert recent.size == 8
-        # Only the last 8 observations are retained.
-        assert set(recent.tolist()) == set(float(v) for v in range(92, 100))
-        assert hist.percentile(0.0) >= 92.0
+        snap = hist.snapshot()
+        assert "retained" not in snap
+        # The first observations still count: the median is the run's
+        # median, not that of a recent window.
+        assert snap["p50"] == pytest.approx(1000.0, rel=0.01)
+        assert snap["p95"] == pytest.approx(1900.0, rel=0.01)
+        assert hist.quantile(0.0) == 1.0
 
     def test_empty_histogram_percentile_is_nan(self):
-        assert math.isnan(Histogram("h").percentile(50.0))
+        assert math.isnan(MetricsRegistry().histogram("h").quantile(0.5))
 
     def test_kind_collision_rejected(self):
         registry = MetricsRegistry()

@@ -246,8 +246,12 @@ class TestTraceExemplars:
         histogram = obs.registry.histogram("trace.latency")
         assert histogram.count == 20
         slowest = warehouse.analytics.slowest
-        assert histogram.exemplar["trace_id"] == slowest.trace_id == 20
-        assert histogram.exemplar["value"] == pytest.approx(0.2)
+        # One sketch: the registry entry is the aggregator's duration,
+        # its exemplar the aggregator's slowest trace.
+        assert histogram is warehouse.analytics.duration
+        assert histogram.exemplar is slowest
+        assert slowest.trace_id == 20
+        assert slowest.value == pytest.approx(0.2)
 
     def test_exemplars_survive_render_and_reparse(self):
         obs, warehouse = self.scope()

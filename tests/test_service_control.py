@@ -160,6 +160,24 @@ def test_trace_batch_without_root_span_is_rejected():
     assert "no root span" in excinfo.value.detail
 
 
+@pytest.mark.parametrize("field,value", [
+    ("duration", -5000), ("duration", float("inf")),
+    ("startTime", float("nan")), ("startTime", float("inf")),
+])
+def test_span_times_outside_the_sketch_domain_are_rejected(field, value):
+    # Critical-path durations feed quantile sketches, which take only
+    # finite, non-negative values: the batch is rejected before any
+    # trace reaches the plane.
+    document = json.loads(export_traces([synthetic_trace(0, 1.0),
+                                         synthetic_trace(1, 2.0)]))
+    document["data"][1]["spans"][-1][field] = value
+    plane = ControlPlane(small_config())
+    with pytest.raises(IngestError) as excinfo:
+        plane.ingest_traces(json.dumps(document))
+    assert excinfo.value.code == "bad-jaeger"
+    assert plane.traces_ingested == plane.analytics.traces_observed == 0
+
+
 def test_trace_batch_round_trip():
     roots = [synthetic_trace(i, 0.5 * i) for i in range(6)]
     parsed = parse_trace_batch(export_traces(roots))
@@ -217,6 +235,7 @@ def test_every_decision_feeds_one_latency_observation():
     assert status["slo"]["observed"] == plane.decisions_made
     histogram = plane.obs.registry.histogram(
         "service.recommendation.latency")
+    assert histogram is plane.latency
     assert histogram.count == plane.decisions_made
 
 

@@ -208,7 +208,7 @@ def test_metrics_exemplar_links_to_self_trace_round():
         "service.recommendation.latency")
     exemplar = histogram.exemplar
     assert exemplar is not None
-    linked = exemplar["trace_id"]
+    linked = exemplar.trace_id
     assert 1 <= linked <= 3
     assert plane.flight.round(linked) is not None
     # The exemplar survives into the OpenMetrics exposition and the

@@ -8,15 +8,17 @@ to it the way the control plane did, stale-snapshot rejection
 included. Every window the store serves must equal the oracle's, bit
 for bit.
 
-The golden files under ``golden/service_checkpoint`` hold a version-1
-checkpoint cut after the first ``GOLDEN_CUT`` entries of
-:func:`golden_stimuli`, the journal tail after the cut (kept as
-written: span ids in the trace batches come from a process-wide
-counter), and the decision JSONL of the whole run. The per-series
-implementation wrote the tail and ``checkpoint_without_processing.json``,
-a checkpoint from before the plane kept span processing times; the
-plane's shared adaptation policy wrote ``checkpoint.json`` and the
-decisions, with series state identical to the older checkpoint's.
+The golden files under ``golden/service_checkpoint`` hold a checkpoint
+cut after the first ``GOLDEN_CUT`` entries of :func:`golden_stimuli`,
+the journal tail after the cut (kept as written: span ids in the trace
+batches come from a process-wide counter), and the decision JSONL of
+the whole run. The per-series implementation wrote the tail and
+``checkpoint_without_processing.json``, a checkpoint from before the
+plane kept span processing times; the plane's shared adaptation policy
+wrote ``checkpoint_v1.json`` and the decisions, with series state
+identical to the older checkpoint's. Both are version 1, whose
+analytics sketches are P² marker states. ``checkpoint.json`` is the
+same cut at version 2, whose sketches are log-bucketed.
 """
 
 import json
@@ -239,7 +241,7 @@ def test_random_streams_match_per_series_state(seed):
 
 
 # ----------------------------------------------------------------------
-# Version-1 checkpoints written by the per-series store
+# Checkpoints written by the per-series store and their successors
 # ----------------------------------------------------------------------
 def golden_config() -> ServiceConfig:
     return ServiceConfig(
@@ -344,8 +346,8 @@ def test_checkpoint_restores_and_reemits_byte_identically():
     assert golden_checkpoint_text(plane) == text
 
 
-def test_journal_tail_after_golden_checkpoint_replays_decisions():
-    payload = json.loads((GOLDEN / "checkpoint.json").read_text())
+def replay_tail_after(name: str) -> None:
+    payload = json.loads((GOLDEN / name).read_text())
     plane = ControlPlane(golden_config())
     plane.restore(payload["state"])
     plane.seed_decisions(payload["decisions"])
@@ -353,6 +355,56 @@ def test_journal_tail_after_golden_checkpoint_replays_decisions():
     decisions = (GOLDEN / "decisions.jsonl").read_text()
     assert plane.decisions_jsonl() == decisions
     assert '"outcome": "applied"' in decisions
+
+
+def test_journal_tail_after_golden_checkpoint_replays_decisions():
+    replay_tail_after("checkpoint.json")
+
+
+def test_journal_tail_after_version_1_checkpoint_replays_decisions():
+    replay_tail_after("checkpoint_v1.json")
+
+
+_SKETCHES = ("duration", "self_time")
+
+
+def without_sketches(state: dict) -> dict:
+    """``state`` minus its version and its analytics sketch entries."""
+    analytics = {key: value for key, value in state["analytics"].items()
+                 if key not in _SKETCHES}
+    return {**state, "version": None, "analytics": analytics}
+
+
+def legacy_sketches(analytics: dict) -> dict[str, dict]:
+    return {"duration": analytics["duration"],
+            **{f"self_time.{service}": sketch for service, sketch
+               in analytics["self_time"].items()}}
+
+
+def assert_exact_aggregates(analytics: dict, legacy: dict) -> None:
+    """Version-2 sketches carry the version-1 count, sum, min and max
+    exactly."""
+    sketches = legacy_sketches(analytics)
+    assert sketches.keys() == legacy_sketches(legacy).keys()
+    for key, old in legacy_sketches(legacy).items():
+        new = sketches[key]
+        assert (new["count"], new["sum"], new["min"], new["max"]) == \
+            (old["count"], old["total"], old["min"], old["max"])
+        assert new["zero"] + sum(count for _, count in new["bins"]) == \
+            old["count"]
+
+
+def test_version_1_and_2_checkpoints_differ_only_in_sketches():
+    old = json.loads((GOLDEN / "checkpoint_v1.json").read_text())
+    new = json.loads((GOLDEN / "checkpoint.json").read_text())
+    assert (old["state"]["version"], new["state"]["version"]) == (1, 2)
+    assert old["decisions"] == new["decisions"]
+    assert without_sketches(old["state"]) == without_sketches(new["state"])
+    legacy = old["state"]["analytics"]
+    assert_exact_aggregates(new["state"]["analytics"], legacy)
+    plane = ControlPlane(golden_config())
+    plane.restore(old["state"])
+    assert_exact_aggregates(plane.checkpoint()["analytics"], legacy)
 
 
 def test_checkpoint_without_processing_times_restores():
@@ -365,8 +417,10 @@ def test_checkpoint_without_processing_times_restores():
     state = plane.checkpoint()
     assert state.pop("processing") == \
         [[]] * len(payload["state"]["budgets"])
-    assert json.dumps(state, sort_keys=True) == \
-        json.dumps(payload["state"], sort_keys=True)
+    assert json.dumps(without_sketches(state), sort_keys=True) == \
+        json.dumps(without_sketches(payload["state"]), sort_keys=True)
+    assert_exact_aggregates(state["analytics"],
+                            payload["state"]["analytics"])
     plane.seed_decisions(payload["decisions"])
     rounds = plane.rounds
     apply(plane, golden_tail())
