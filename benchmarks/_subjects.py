@@ -66,7 +66,7 @@ class EstimationSubject:
         return env, app, target
 
     def goodput(self, app, duration: float) -> float:
-        latencies = app.latency[self.request_type].response_times()
+        latencies = app.latency[self.request_type].window()[1]
         return float(
             np.count_nonzero(latencies <= THRESHOLD)) / duration
 

@@ -87,7 +87,7 @@ def run_one(propagate: bool):
     controller.start()
     driver.start()
     env.run(until=duration + 2.0)
-    latencies = app.latency["go"].response_times()
+    latencies = app.latency["go"].window()[1]
     thresholds = [a.threshold for a in controller.actions
                   if a.threshold is not None]
     return {

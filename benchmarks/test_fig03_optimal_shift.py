@@ -54,7 +54,7 @@ def run_cart(threads: int, cores: float, users: int, seed: int = 1):
                               streams.stream("drv"), ramp_up=5.0)
     driver.start()
     env.run(until=duration + 2.0)
-    return app.latency["cart"].response_times(), duration
+    return app.latency["cart"].window()[1], duration
 
 
 def run_post_storage(connections: int, posts: int, users: int = 500,
@@ -71,7 +71,7 @@ def run_post_storage(connections: int, posts: int, users: int = 500,
                               streams.stream("drv"), ramp_up=5.0)
     driver.start()
     env.run(until=duration + 2.0)
-    return app.latency["read_home_timeline"].response_times(), duration
+    return app.latency["read_home_timeline"].window()[1], duration
 
 
 def goodput(latencies, threshold, duration) -> float:

@@ -5,7 +5,7 @@ client pools, call-graph behaviors, load balancing, and end-to-end
 request accounting.
 """
 
-from repro.app.application import Application, EndToEndLog
+from repro.app.application import Application
 from repro.app.behavior import Call, Compute, Operation, Parallel, Step
 from repro.app.loadbalancer import (
     LeastConnections,
@@ -14,13 +14,12 @@ from repro.app.loadbalancer import (
     RoundRobin,
 )
 from repro.app.request import Request
-from repro.app.service import Microservice, Replica, ServiceMetrics
+from repro.app.service import Microservice, Replica
 
 __all__ = [
     "Application",
     "Call",
     "Compute",
-    "EndToEndLog",
     "LeastConnections",
     "LoadBalancer",
     "Microservice",
@@ -30,6 +29,5 @@ __all__ = [
     "Replica",
     "Request",
     "RoundRobin",
-    "ServiceMetrics",
     "Step",
 ]

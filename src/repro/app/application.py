@@ -9,48 +9,20 @@ end-to-end response time per request type.
 
 from __future__ import annotations
 
-import bisect
 import typing as _t
 
 import networkx as nx
-import numpy as np
 
 from repro.app.request import Request
 from repro.app.service import Microservice
 from repro.faults.resilience import CallError
+from repro.metrics.sampler import TimeSeries
 from repro.sim.engine import Environment
 from repro.sim.errors import Interrupt
 from repro.sim.events import Event
 from repro.sim.process import Process
 from repro.tracing.span import Span
 from repro.tracing.warehouse import TraceWarehouse
-
-
-class EndToEndLog:
-    """Time-ordered record of finished user requests of one type."""
-
-    def __init__(self) -> None:
-        self._times: list[float] = []
-        self._latencies: list[float] = []
-        self.total = 0
-
-    def record(self, completed_at: float, response_time: float) -> None:
-        """Append one completion."""
-        self._times.append(completed_at)
-        self._latencies.append(response_time)
-        self.total += 1
-
-    def window(self, since: float = 0.0, until: float = float("inf")
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """``(completion_times, response_times)`` in ``[since, until)``."""
-        lo = bisect.bisect_left(self._times, since)
-        hi = bisect.bisect_left(self._times, until)
-        return (np.asarray(self._times[lo:hi]),
-                np.asarray(self._latencies[lo:hi]))
-
-    def response_times(self) -> np.ndarray:
-        """All recorded response times."""
-        return np.asarray(self._latencies)
 
 
 class Application:
@@ -68,7 +40,8 @@ class Application:
         self.services: dict[str, Microservice] = {}
         self.entrypoints: dict[str, tuple[str, str]] = {}
         self._process_names: dict[str, str] = {}
-        self.latency: dict[str, EndToEndLog] = {}
+        #: request type -> (completion time, response time) log.
+        self.latency: dict[str, TimeSeries] = {}
         self.in_flight = 0
         self.total_submitted = 0
         #: Requests abandoned on an unrecovered CallError, by type.
@@ -104,7 +77,7 @@ class Application:
                            f"{operation!r}")
         self.entrypoints[request_type] = (service, operation)
         self._process_names[request_type] = f"request:{request_type}"
-        self.latency.setdefault(request_type, EndToEndLog())
+        self.latency.setdefault(request_type, TimeSeries(1))
 
     def call_graph(self) -> nx.DiGraph:
         """The static service dependency graph (who calls whom)."""
@@ -219,7 +192,7 @@ class Application:
             self.in_flight -= 1
         request.root_span = root_span
         request.completed_at = self.env._now
-        self.latency[request.request_type].record(
+        self.latency[request.request_type].append(
             request.completed_at, request.response_time)
         self.warehouse.record(root_span)
         return request

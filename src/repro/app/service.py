@@ -20,7 +20,6 @@ Soft resource adaptation (what Sora does):
 
 from __future__ import annotations
 
-import bisect
 import typing as _t
 
 import numpy as np
@@ -47,6 +46,7 @@ from repro.faults.resilience import (
     LoadShedError,
     ServiceUnavailable,
 )
+from repro.metrics.sampler import TimeSeries
 from repro.resources.cpu import ProcessorSharingCpu
 from repro.resources.pool import SoftResourcePool
 from repro.sim.engine import Environment
@@ -57,84 +57,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover
     from repro.app.application import Application
     from repro.faults.injectors import EdgeDisruption
     from repro.sim.process import Process
-
-
-class ServiceMetrics:
-    """Per-service completion log for fine-grained metric extraction.
-
-    Records ``(departure_time, residence_time)`` for every span the
-    service finishes, in time order, supporting the goodput/throughput
-    window queries the SCG and SCT models need.
-    """
-
-    def __init__(self) -> None:
-        self._times: list[float] = []
-        self._latencies: list[float] = []
-        self._processing: list[float] = []
-        self.total_completed = 0
-
-    def record(self, departure: float, latency: float,
-               processing: float | None = None) -> None:
-        """Append one completion (departures arrive in time order).
-
-        ``processing`` is the residence time *excluding* the service's
-        own admission-queue wait (defaults to ``latency``); adapters use
-        it to tell "slow because waiting" from "slow while processing".
-        """
-        if processing is None:
-            processing = latency
-        if self._times and departure < self._times[-1]:
-            index = bisect.bisect_right(self._times, departure)
-            self._times.insert(index, departure)
-            self._latencies.insert(index, latency)
-            self._processing.insert(index, processing)
-        else:
-            self._times.append(departure)
-            self._latencies.append(latency)
-            self._processing.append(processing)
-        self.total_completed += 1
-
-    def completions(self, since: float = 0.0,
-                    until: float = float("inf")
-                    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(departure_times, latencies)`` within ``[since, until)``."""
-        lo = bisect.bisect_left(self._times, since)
-        hi = bisect.bisect_left(self._times, until)
-        return (np.asarray(self._times[lo:hi]),
-                np.asarray(self._latencies[lo:hi]))
-
-    def processing_times(self, since: float = 0.0,
-                         until: float = float("inf")) -> np.ndarray:
-        """Post-admission processing times within ``[since, until)``."""
-        lo = bisect.bisect_left(self._times, since)
-        hi = bisect.bisect_left(self._times, until)
-        return np.asarray(self._processing[lo:hi])
-
-    def throughput(self, since: float, until: float) -> float:
-        """Completions per second in the window."""
-        if until <= since:
-            return 0.0
-        lo = bisect.bisect_left(self._times, since)
-        hi = bisect.bisect_left(self._times, until)
-        return (hi - lo) / (until - since)
-
-    def goodput(self, since: float, until: float, threshold: float) -> float:
-        """Completions per second whose residence time met ``threshold``."""
-        if until <= since:
-            return 0.0
-        _times, latencies = self.completions(since, until)
-        if latencies.size == 0:
-            return 0.0
-        return float(np.count_nonzero(latencies <= threshold)) / (
-            until - since)
-
-    def prune(self, before: float) -> None:
-        """Drop completions older than ``before`` (bounded memory)."""
-        cut = bisect.bisect_left(self._times, before)
-        if cut:
-            del self._times[:cut]
-            del self._latencies[:cut]
-            del self._processing[:cut]
 
 
 class Replica:
@@ -230,7 +152,10 @@ class Microservice:
         self.load_balancer = load_balancer or RoundRobin()
         self.operations: dict[str, Operation] = {}
         self.client_pools: dict[str, SoftResourcePool] = {}
-        self.metrics = ServiceMetrics()
+        #: Completion log keyed by departure: (residence time,
+        #: processing time), the latter excluding the service's own
+        #: admission-queue wait.
+        self.metrics = TimeSeries(2)
         self.app: "Application | None" = None
         #: Multiplier applied to every sampled CPU demand — the hook used
         #: to model system-state drift (light -> heavy requests, §2.3).
@@ -544,7 +469,7 @@ class Microservice:
             replica.request_finished()
             departure = env._now
             span.departure = departure
-            self.metrics.record(departure, departure - span.arrival,
+            self.metrics.append(departure, departure - span.arrival,
                                 departure - (span.started
                                              if span.started is not None
                                              else span.arrival))

@@ -65,8 +65,8 @@ class PredictiveAutoscaler(Autoscaler):
 
     def forecast_utilization(self) -> float:
         """Linear-trend extrapolation of utilization, clamped >= 0."""
-        series = self.monitoring.utilization[self.service.name]
-        times, values = series.window(self.env.now - self.history)
+        times, values, _busy = self.monitoring.cpu[
+            self.service.name].window(self.env.now - self.history)
         if values.size == 0:
             return 0.0
         if values.size < 3:

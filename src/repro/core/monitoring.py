@@ -54,13 +54,11 @@ class MonitoringModule:
         self.interval = interval
         self.retention = retention
         self.obs = obs
-        #: service -> utilization fraction time series (busy/capacity).
-        self.utilization: dict[str, TimeSeries] = {
-            name: TimeSeries() for name in app.services}
-        #: service -> busy-cores time series (CPU use in core units, the
-        #: "Pod CPU Util %" panel of Figs. 10-12 is this * 100).
-        self.busy_cores: dict[str, TimeSeries] = {
-            name: TimeSeries() for name in app.services}
+        #: service -> (utilization fraction, busy cores) rows: busy over
+        #: capacity, and CPU use in core units (the "Pod CPU Util %"
+        #: panel of Figs. 10-12 is busy cores * 100).
+        self.cpu: dict[str, TimeSeries] = {
+            name: TimeSeries(2) for name in app.services}
         self._last_totals: dict[str, tuple[float, float]] = {}
         self._started = False
 
@@ -78,16 +76,14 @@ class MonitoringModule:
 
     def utilization_over(self, service: str, window: float) -> float:
         """Mean utilization fraction over the trailing ``window``."""
-        series = self.utilization[service]
-        _times, values = series.window(self.env.now - window)
-        if values.size == 0:
-            return 0.0
-        return float(values.mean())
+        return self._mean(service, window, 1)
 
     def busy_cores_over(self, service: str, window: float) -> float:
         """Mean busy cores over the trailing ``window``."""
-        series = self.busy_cores[service]
-        _times, values = series.window(self.env.now - window)
+        return self._mean(service, window, 2)
+
+    def _mean(self, service: str, window: float, column: int) -> float:
+        values = self.cpu[service].window(self.env.now - window)[column]
         if values.size == 0:
             return 0.0
         return float(values.mean())
@@ -95,7 +91,7 @@ class MonitoringModule:
     def utilizations(self, window: float) -> dict[str, float]:
         """Mean utilization per service over the trailing ``window``."""
         return {name: self.utilization_over(name, window)
-                for name in self.utilization}
+                for name in self.cpu}
 
     def _loop(self):
         timeline = (self.obs.timeline
@@ -111,9 +107,8 @@ class MonitoringModule:
                 delta_capacity = capacity - last_capacity
                 fraction = (delta_busy / delta_capacity
                             if delta_capacity > 0 else 0.0)
-                self.utilization[name].append(now, fraction)
-                self.busy_cores[name].append(
-                    now, delta_busy / self.interval)
+                self.cpu[name].append(now, fraction,
+                                      delta_busy / self.interval)
                 if timeline:
                     timeline.record(f"cpu.{name}", now, fraction)
             horizon = now - self.retention
@@ -121,5 +116,4 @@ class MonitoringModule:
                 self.app.warehouse.prune(horizon)
                 for name, service in self.app.services.items():
                     service.metrics.prune(horizon)
-                    self.utilization[name].prune(horizon)
-                    self.busy_cores[name].prune(horizon)
+                    self.cpu[name].prune(horizon)

@@ -61,8 +61,7 @@ class SoftResourceTarget(abc.ABC):
     def completion_latencies(self, since: float,
                              until: float) -> np.ndarray:
         """Residence times of the gated service's completions."""
-        _times, latencies = self.service.metrics.completions(since, until)
-        return latencies
+        return self.service.metrics.window(since, until)[1]
 
     def processing_latencies(self, since: float,
                              until: float) -> np.ndarray:
@@ -73,7 +72,7 @@ class SoftResourceTarget(abc.ABC):
         adapter uses it to decide whether saturation-driven exploration
         can possibly help.
         """
-        return self.service.metrics.processing_times(since, until)
+        return self.service.metrics.window(since, until)[2]
 
 
 class ThreadPoolTarget(SoftResourceTarget):

@@ -2,14 +2,18 @@
 
 The SCG/SCT models consume ``<concurrency, goodput>`` pairs sampled at a
 fixed interval (100 ms by default, §3.2 / Table 1). The samplers here
-are simulation processes that poll live objects and keep a bounded
-time-indexed record that window queries slice efficiently.
+are simulation processes that poll live objects into a
+:class:`TimeSeries`, the in-order time log every simulator record
+(completions, response times, samples) is kept in.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
+import math
 import typing as _t
+from array import array
 
 import numpy as np
 
@@ -22,74 +26,69 @@ logger = logging.getLogger(__name__)
 
 
 class TimeSeries:
-    """An append-only time series with window slicing.
+    """An in-order time log: one time column plus ``width`` value columns.
 
-    Samples live in preallocated numpy buffers (doubled on overflow), so
-    :meth:`window` is a pair of ``searchsorted`` calls plus two O(1)
-    array views — no per-query list-to-array conversion. Pruning
-    advances a start offset without moving data, which keeps previously
-    returned views valid; dead space is reclaimed at the next growth.
+    Every in-order record of the simulator is one of these: a service's
+    completions, an application's end-to-end response times, a
+    sampler's ticks, a monitor's CPU readings. Rows are stored at 8
+    bytes per value in two ``array('d')`` buffers, the times and the
+    values interleaved row by row, so an append is a few C calls and no
+    boxed float outlives it. :meth:`window` binary-searches the time
+    column and returns fresh arrays, so later appends and prunes never
+    disturb a window already handed out.
+
+    Args:
+        width: number of value columns in each row.
     """
 
-    __slots__ = ("_times", "_values", "_start", "_end")
+    __slots__ = ("width", "_times", "_values", "_last", "_pruned")
 
-    def __init__(self, capacity: int = 256) -> None:
-        self._times = np.empty(capacity, dtype=np.float64)
-        self._values = np.empty(capacity, dtype=np.float64)
-        self._start = 0  # first live sample
-        self._end = 0    # one past the last live sample
+    def __init__(self, width: int) -> None:
+        self.width = width
+        self._times = array("d")
+        self._values = array("d")
+        self._last = -math.inf
+        self._pruned = 0
 
-    def append(self, time: float, value: float) -> None:
-        """Record one observation (times must be non-decreasing)."""
-        end = self._end
-        if end > self._start and time < self._times[end - 1]:
+    def append(self, time: float, *values: float) -> None:
+        """Record one row of ``width`` values at ``time`` (times must be
+        non-decreasing; a rejected row leaves the log unchanged)."""
+        if time < self._last or len(values) != self.width:
             raise ValueError(
-                f"time {time} precedes last sample {self._times[end - 1]}")
-        if end == self._times.shape[0]:
-            self._grow()
-            end = self._end
-        self._times[end] = time
-        self._values[end] = value
-        self._end = end + 1
+                f"row of {len(values)} values at time {time} does not "
+                f"follow the last row (time {self._last}, "
+                f"{self.width} values)")
+        self._last = time
+        self._times.append(time)
+        self._values.extend(values)
 
-    def _grow(self) -> None:
-        """Move live samples into fresh buffers at least twice their
-        size (fresh, never shifted in place, so outstanding views from
-        :meth:`window` keep their data)."""
-        live = self._end - self._start
-        capacity = max(256, 2 * live)
-        times = np.empty(capacity, dtype=np.float64)
-        values = np.empty(capacity, dtype=np.float64)
-        times[:live] = self._times[self._start:self._end]
-        values[:live] = self._values[self._start:self._end]
-        self._times, self._values = times, values
-        self._start, self._end = 0, live
-
-    def window(self, since: float = 0.0, until: float = float("inf")
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """``(times, values)`` with ``since <= t < until`` (read-only
-        views onto the live buffer)."""
+    def window(self, since: float = 0.0, until: float = math.inf
+               ) -> tuple[np.ndarray, ...]:
+        """``(times, column_1, ..., column_width)`` of the rows with
+        ``since <= time < until``."""
         times = self._times
-        lo = int(np.searchsorted(times[self._start:self._end], since,
-                                 side="left")) + self._start
-        hi = int(np.searchsorted(times[self._start:self._end], until,
-                                 side="left")) + self._start
-        return times[lo:hi], self._values[lo:hi]
-
-    def latest(self) -> tuple[float, float]:
-        """The most recent ``(time, value)``."""
-        if self._end == self._start:
-            raise ValueError("empty time series")
-        return (float(self._times[self._end - 1]),
-                float(self._values[self._end - 1]))
+        lo = bisect.bisect_left(times, since)
+        hi = bisect.bisect_left(times, until, lo)
+        width = self.width
+        columns = np.ascontiguousarray(np.frombuffer(
+            self._values[lo * width:hi * width]).reshape(-1, width).T)
+        return (np.frombuffer(times[lo:hi]), *columns)
 
     def prune(self, before: float) -> None:
-        """Drop samples older than ``before``."""
-        self._start += int(np.searchsorted(
-            self._times[self._start:self._end], before, side="left"))
+        """Drop rows older than ``before``."""
+        cut = bisect.bisect_left(self._times, before)
+        if cut:
+            del self._times[:cut]
+            del self._values[:cut * self.width]
+            self._pruned += cut
+
+    @property
+    def total(self) -> int:
+        """Rows ever appended, pruned ones included."""
+        return self._pruned + len(self._times)
 
     def __len__(self) -> int:
-        return self._end - self._start
+        return len(self._times)
 
 
 class IntervalSampler:
@@ -110,7 +109,7 @@ class IntervalSampler:
         self.probe = probe
         self.interval = interval
         self.name = name
-        self.series = TimeSeries()
+        self.series = TimeSeries(1)
         self._running = False
 
     def start(self) -> None:
@@ -147,8 +146,8 @@ class ConcurrencyGoodputSampler:
         concurrency_integral: returns cumulative concurrency-seconds up
             to now; the sampler differences consecutive readings.
         completion_source: ``(since, until) -> np.ndarray`` of residence
-            times for completions in the window (e.g. a closure over
-            :meth:`ServiceMetrics.completions`).
+            times for completions in the window (e.g. the first value
+            column of a service's completion log).
         threshold_provider: returns the current RT threshold in seconds.
         interval: sampling granularity (default 100 ms).
         obs: observability scope for tick counters (``None`` disables;
@@ -171,9 +170,8 @@ class ConcurrencyGoodputSampler:
         self.interval = interval
         self.name = name
         self.obs = obs
-        self.concurrency = TimeSeries()
-        self.goodput = TimeSeries()
-        self.throughput = TimeSeries()
+        #: One row per tick: (concurrency, goodput, throughput).
+        self.series = TimeSeries(3)
         self._running = False
 
     def start(self) -> None:
@@ -192,17 +190,13 @@ class ConcurrencyGoodputSampler:
               ) -> tuple[np.ndarray, np.ndarray]:
         """``(Q, GP)`` sample pairs in the window (or ``(Q, TP)`` when
         ``use_threshold`` is false)."""
-        _t1, concurrency = self.concurrency.window(since, until)
-        output = self.goodput if use_threshold else self.throughput
-        _t2, rates = output.window(since, until)
-        size = min(len(concurrency), len(rates))
-        return concurrency[:size], rates[:size]
+        _times, concurrency, goodput, throughput = self.series.window(
+            since, until)
+        return concurrency, goodput if use_threshold else throughput
 
     def prune(self, before: float) -> None:
         """Drop samples older than ``before``."""
-        self.concurrency.prune(before)
-        self.goodput.prune(before)
-        self.throughput.prune(before)
+        self.series.prune(before)
 
     def _loop(self):
         last = self.env.now
@@ -226,10 +220,8 @@ class ConcurrencyGoodputSampler:
             good = float(np.count_nonzero(latencies <= threshold))
             total = float(latencies.size)
             integral = float(self.concurrency_integral())
-            self.concurrency.append(
-                now, (integral - last_integral) / elapsed)
-            self.goodput.append(now, good / elapsed)
-            self.throughput.append(now, total / elapsed)
+            self.series.append(now, (integral - last_integral) / elapsed,
+                               good / elapsed, total / elapsed)
             last = now
             last_integral = integral
             if counter is not None:

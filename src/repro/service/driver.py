@@ -232,9 +232,8 @@ def drive(url: str, *, scenario: str = "cart",
         t = min(duration, step * interval)
         env.run(until=t)
         chunk = t - last_t
-        concurrency_values = sampler.concurrency.window(last_t, t)[1]
-        goodput_values = sampler.goodput.window(last_t, t)[1]
-        if concurrency_values.size and goodput_values.size:
+        concurrency_values, goodput_values = sampler.pairs(last_t, t)
+        if concurrency_values.size:
             pairs = {service_name: float(concurrency_values.mean())}
             rates = {service_name: float(goodput_values.mean())}
         else:

@@ -1,5 +1,6 @@
 """Tests for microservices, replicas, and request handling."""
 
+import numpy as np
 import pytest
 
 from repro.app import (
@@ -240,12 +241,14 @@ def test_service_metrics_goodput_threshold():
         _, proc = app.submit("cart")
         env.run(until=proc)
     metrics = app.service("cart").metrics
-    assert metrics.total_completed == 4
+    assert metrics.total == 4
     now = env.now + 1e-9  # windows are half-open: include the last one
-    assert metrics.throughput(0.0, now) == pytest.approx(4 / now)
-    # Cart span is ~20ms; with a 5ms threshold goodput is zero.
-    assert metrics.goodput(0.0, now, threshold=0.005) == 0.0
-    assert metrics.goodput(0.0, now, threshold=1.0) == pytest.approx(4 / now)
+    times, residence, processing = metrics.window(0.0, now)
+    assert times.size == 4
+    # Cart span is ~20ms: none meets a 5ms threshold, all meet 1s.
+    assert np.count_nonzero(residence <= 0.005) == 0
+    assert np.count_nonzero(residence <= 1.0) == 4
+    assert np.all(processing <= residence)
 
 
 def test_cpu_totals_accumulate_across_replicas():

@@ -112,8 +112,7 @@ class TestClientPoolTarget:
         driver.start()
         env.run()
         latencies = target.completion_latencies(0.0, env.now + 1.0)
-        assert latencies.size == app.service("backend").metrics.\
-            total_completed
+        assert latencies.size == app.service("backend").metrics.total
 
 
 class TestEstimatorConfig:

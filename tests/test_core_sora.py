@@ -194,11 +194,9 @@ class TestSoraController:
             horizon = env.now - 2 * window
             horizons.append(horizon)
             for sampler in controller.samplers.values():
-                assert len(sampler.concurrency) > 0
-                for series in (sampler.concurrency, sampler.goodput,
-                               sampler.throughput):
-                    times, _values = series.window(until=horizon)
-                    assert times.size == 0, (env.now, times[0])
+                assert len(sampler.series) > 0
+                times = sampler.series.window(until=horizon)[0]
+                assert times.size == 0, (env.now, times[0])
 
         controller.control = control_and_check
         controller.start()

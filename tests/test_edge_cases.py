@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.app.service import ServiceMetrics
+from repro.app.service import Microservice
 from repro.resources import ProcessorSharingCpu, SoftResourcePool
-from repro.sim import NORMAL, URGENT, Environment
+from repro.sim import NORMAL, URGENT, Environment, RandomStreams
 from repro.sim.events import Condition
 
 
@@ -154,16 +154,27 @@ class TestPoolEdgeCases:
 
 
 class TestServiceMetricsEdgeCases:
-    def test_out_of_order_record_keeps_sorted(self):
-        metrics = ServiceMetrics()
-        metrics.record(5.0, 0.1)
-        metrics.record(3.0, 0.2)  # late arrival
-        metrics.record(7.0, 0.3)
-        times, _latencies = metrics.completions()
-        assert list(times) == [3.0, 5.0, 7.0]
-        assert metrics.processing_times(4.0, 8.0).tolist() == [0.1, 0.3]
+    @staticmethod
+    def metrics():
+        return Microservice(Environment(), "svc",
+                            RandomStreams(1).stream("x")).metrics
+
+    def test_out_of_order_departure_raises(self):
+        # Departures are stamped with the simulation clock, so a late
+        # one is a bug in the caller, not a row to sort in.
+        metrics = self.metrics()
+        metrics.append(5.0, 0.1, 0.1)
+        with pytest.raises(ValueError):
+            metrics.append(3.0, 0.2, 0.2)
+        metrics.append(7.0, 0.3, 0.25)
+        times, residence, processing = metrics.window()
+        assert times.tolist() == [5.0, 7.0]
+        assert residence.tolist() == [0.1, 0.3]
+        assert processing.tolist() == [0.1, 0.25]
+        assert metrics.total == 2
 
     def test_goodput_empty_window(self):
-        metrics = ServiceMetrics()
-        assert metrics.goodput(0.0, 10.0, threshold=1.0) == 0.0
-        assert metrics.throughput(5.0, 5.0) == 0.0
+        metrics = self.metrics()
+        for window in (metrics.window(0.0, 10.0), metrics.window(5.0, 5.0)):
+            assert len(window) == 3
+            assert all(column.size == 0 for column in window)

@@ -89,7 +89,7 @@ class TestInterruptedRequests:
         streams = RandomStreams(0)
         app = build_app(env, streams)
         svc = app.service("svc")
-        before = svc.metrics.total_completed
+        before = svc.metrics.total
 
         _request, process = app.submit("go")
 
@@ -103,7 +103,7 @@ class TestInterruptedRequests:
         env.run()
         # The aborted request still closed its span at svc (the finally
         # block), so monitoring keeps a consistent view.
-        assert svc.metrics.total_completed == before + 1
+        assert svc.metrics.total == before + 1
 
     def test_other_requests_unaffected_by_interrupt(self):
         env = Environment()

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import (
     ConcurrencyGoodputSampler,
@@ -20,7 +22,7 @@ from repro.sim import Environment
 
 class TestTimeSeries:
     def test_append_and_window(self):
-        series = TimeSeries()
+        series = TimeSeries(1)
         for t in [1.0, 2.0, 3.0]:
             series.append(t, t * 10)
         times, values = series.window(1.5, 3.0)
@@ -28,27 +30,72 @@ class TestTimeSeries:
         assert list(values) == [20.0]
 
     def test_append_out_of_order_rejected(self):
-        series = TimeSeries()
+        series = TimeSeries(1)
         series.append(2.0, 1.0)
         with pytest.raises(ValueError):
             series.append(1.0, 1.0)
 
-    def test_latest(self):
-        series = TimeSeries()
-        series.append(1.0, 5.0)
-        series.append(2.0, 7.0)
-        assert series.latest() == (2.0, 7.0)
-
-    def test_latest_empty_raises(self):
-        with pytest.raises(ValueError):
-            TimeSeries().latest()
-
     def test_prune(self):
-        series = TimeSeries()
+        series = TimeSeries(1)
         for t in [1.0, 2.0, 3.0]:
             series.append(t, t)
         series.prune(2.5)
         assert len(series) == 1
+
+    def test_row_of_the_wrong_width_rejected(self):
+        series = TimeSeries(2)
+        with pytest.raises(ValueError):
+            series.append(1.0, 1.0)
+        with pytest.raises(ValueError):
+            series.append(1.0, 1.0, 2.0, 3.0)
+        assert len(series) == series.total == 0
+
+
+_TIMES = st.integers(0, 12).map(lambda tick: tick * 0.5)
+_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("append"), _TIMES),
+    st.tuples(st.just("prune"), _TIMES),
+    st.tuples(st.just("window"), _TIMES, _TIMES)), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 3), operations=_OPERATIONS)
+def test_time_series_matches_a_list_of_rows(width, operations):
+    """Every window equals a brute-force filter of a plain list of the
+    live rows; ``len`` counts live rows and ``total`` every append; an
+    earlier time raises and leaves the log unchanged."""
+    series = TimeSeries(width)
+    rows: list[tuple[float, ...]] = []
+    appended = 0
+    last = -np.inf
+    for step, (kind, *args) in enumerate(operations):
+        if kind == "append":
+            time = args[0]
+            row = (time, *(step * 10.0 + column
+                           for column in range(width)))
+            if time < last:
+                before = series.window(-np.inf)
+                with pytest.raises(ValueError):
+                    series.append(*row)
+                for kept, now in zip(before, series.window(-np.inf)):
+                    np.testing.assert_array_equal(kept, now)
+            else:
+                series.append(*row)
+                rows.append(row)
+                appended += 1
+                last = time
+        elif kind == "prune":
+            series.prune(args[0])
+            rows = [row for row in rows if row[0] >= args[0]]
+        else:
+            since, until = args
+            window = series.window(since, until)
+            expected = [row for row in rows if since <= row[0] < until]
+            assert len(window) == width + 1
+            for column, got in enumerate(window):
+                assert got.tolist() == [row[column] for row in expected]
+        assert len(series) == len(rows)
+        assert series.total == appended
 
 
 class TestIntervalSampler:

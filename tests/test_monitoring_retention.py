@@ -39,7 +39,7 @@ def test_warehouse_and_logs_bounded_by_retention(loaded_app):
         env.run(until=checkpoint)
         trace_count = len(app.warehouse.traces(0.0, env.now))
         completion_count = sum(
-            svc.metrics.completions(0.0, env.now)[0].size
+            svc.metrics.window(0.0, env.now)[0].size
             for svc in app.services.values())
         sizes.append((trace_count, completion_count))
 
@@ -53,7 +53,7 @@ def test_warehouse_and_logs_bounded_by_retention(loaded_app):
     horizon = env.now - 2 * retention
     assert not app.warehouse.traces(0.0, horizon)
     for svc in app.services.values():
-        times, _lat = svc.metrics.completions(0.0, horizon)
+        times = svc.metrics.window(0.0, horizon)[0]
         assert times.size == 0
 
 
@@ -76,10 +76,11 @@ def test_pruning_preserves_analysis_window(loaded_app):
                    for root in window_traces)
         # ...and so do per-service completions and utilization samples.
         for name, svc in app.services.items():
-            times, latencies = svc.metrics.completions(since, env.now)
+            times, latencies, processing = svc.metrics.window(
+                since, env.now)
             assert times.size > 0
-            assert latencies.size == times.size
-            util_times, util = monitoring.utilization[name].window(
+            assert latencies.size == processing.size == times.size
+            util_times, util, _busy = monitoring.cpu[name].window(
                 since, env.now)
             # One sample per interval over the window (edges tolerant).
             assert util_times.size >= int(window) - 2
@@ -96,5 +97,4 @@ def test_utilization_series_bounded(loaded_app):
     for name in app.services:
         # 20 s retention at 0.5 s cadence -> ~40 live samples, never
         # the ~600 an unpruned series would hold.
-        assert len(monitoring.utilization[name]) <= 60
-        assert len(monitoring.busy_cores[name]) <= 60
+        assert len(monitoring.cpu[name]) <= 60

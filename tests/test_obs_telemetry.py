@@ -76,6 +76,17 @@ class TestTimelineEmission:
         _t99, p99 = obs.timeline.series("latency.p99").latest()
         assert 0.0 < p50 <= p99
 
+    def test_percentiles_cover_their_own_tick(self, telemetry_run):
+        # Per-interval quantiles, not run-lifetime ones: the last p99 is
+        # the quantile of the requests completed in the last tick only.
+        obs, result = telemetry_run
+        when, p99 = obs.timeline.series("latency.p99").latest()
+        completed = result.completion_times
+        tick = result.response_times[(completed >= when - 1.0)
+                                     & (completed < when)]
+        assert tick.size > 0
+        assert p99 == np.quantile(tick, 0.99)
+
     def test_slo_monitor_attached_and_fed(self, telemetry_run):
         obs, result = telemetry_run
         assert obs.slo is not None

@@ -11,6 +11,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.app import Compute
+from repro.core.targets import ThreadPoolTarget
+from repro.metrics import ConcurrencyGoodputSampler
 from repro.sim import Environment, Exponential, RandomStreams
 from repro.tracing import extract_critical_path
 
@@ -99,24 +101,39 @@ def test_self_times_decompose_linear_chain(depth, demand_ms):
 
 @settings(max_examples=20, deadline=None, suppress_health_check=SUPPRESS)
 @given(
+    depth=st.integers(1, 3),
     rate=st.floats(10.0, 80.0),
     threshold_a=st.floats(0.001, 0.1),
     threshold_b=st.floats(0.1, 1.0),
 )
-def test_goodput_monotone_in_threshold(rate, threshold_a, threshold_b):
+def test_goodput_monotone_in_threshold(depth, rate, threshold_a,
+                                       threshold_b):
+    """Per sampler tick, goodput at a tighter threshold never exceeds
+    goodput at a looser one, which never exceeds throughput."""
     from repro.workloads import OpenLoopDriver
     env = Environment()
     streams = RandomStreams(4)
-    app = build_chain(env, streams, depth=2, demand_ms=5.0, threads=4)
+    app = build_chain(env, streams, depth=depth, demand_ms=5.0, threads=4)
+    target = ThreadPoolTarget(app.service("svc0"))
+    samplers = [
+        ConcurrencyGoodputSampler(
+            env, target.concurrency_integral, target.completion_latencies,
+            threshold_provider=lambda threshold=threshold: threshold)
+        for threshold in sorted((threshold_a, threshold_b))]
+    for sampler in samplers:
+        sampler.start()
     driver = OpenLoopDriver(env, app, "go", rate=rate,
                             rng=streams.stream("arr"), duration=5.0)
     driver.start()
-    env.run()
-    metrics = app.service("svc0").metrics
-    lo = metrics.goodput(0.0, env.now, min(threshold_a, threshold_b))
-    hi = metrics.goodput(0.0, env.now, max(threshold_a, threshold_b))
-    assert lo <= hi + 1e-9
-    assert hi <= metrics.throughput(0.0, env.now) + 1e-9
+    env.run(until=6.0)
+    times_lo, _q, goodput_lo, throughput = samplers[0].series.window()
+    times_hi, _q, goodput_hi, throughput_hi = samplers[1].series.window()
+    assert times_lo.size > 0
+    np.testing.assert_array_equal(times_lo, times_hi)
+    np.testing.assert_array_equal(throughput, throughput_hi)
+    assert np.all(goodput_lo <= goodput_hi)
+    assert np.all(goodput_hi <= throughput)
+    assert throughput.sum() > 0
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=SUPPRESS)

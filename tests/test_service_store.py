@@ -1,9 +1,9 @@
 """The control plane's columnar series store against the per-series
 state it replaced, and checkpoint compatibility across the change.
 
-:class:`OracleSeries` is that per-series state: two
-:class:`~repro.metrics.sampler.TimeSeries` rings per service, windowed
-and pruned one service at a time. :class:`OraclePlane` applies snapshots
+:class:`OracleSeries` is that per-series state: one two-column
+:class:`~repro.metrics.sampler.TimeSeries` of ``(concurrency, rate)``
+per service, windowed and pruned one service at a time. :class:`OraclePlane` applies snapshots
 to it the way the control plane did, stale-snapshot rejection
 included. Every window the store serves must equal the oracle's, bit
 for bit.
@@ -45,19 +45,17 @@ GOLDEN = (pathlib.Path(__file__).resolve().parent / "golden"
 
 
 class OracleSeries:
-    """One service's pairs in two time-series rings."""
+    """One service's ``(concurrency, rate)`` pairs in a time log."""
 
     def __init__(self) -> None:
-        self.concurrency = TimeSeries()
-        self.rate = TimeSeries()
+        self.log = TimeSeries(2)
         self.utilization = None
         self.allocation = None
         self.snapshots = 0
         self.updated = 0.0
 
     def observe(self, time, concurrency, rate, utilization, allocation):
-        self.concurrency.append(time, float(concurrency))
-        self.rate.append(time, float(rate))
+        self.log.append(time, float(concurrency), float(rate))
         if utilization is not None:
             self.utilization = float(utilization)
         if allocation is not None:
@@ -66,22 +64,17 @@ class OracleSeries:
         self.updated = time
 
     def pairs(self, since):
-        _t1, concurrency = self.concurrency.window(since)
-        _t2, rate = self.rate.window(since)
-        size = min(len(concurrency), len(rate))
-        return concurrency[:size], rate[:size]
+        _times, concurrency, rate = self.log.window(since)
+        return concurrency, rate
 
     def prune(self, before):
-        self.concurrency.prune(before)
-        self.rate.prune(before)
+        self.log.prune(before)
 
     def state_dict(self):
-        def live(series):
-            times, values = series.window(float("-inf"))
-            return {"times": times.tolist(), "values": values.tolist()}
-
-        return {"concurrency": live(self.concurrency),
-                "rate": live(self.rate),
+        times, concurrency, rate = self.log.window(float("-inf"))
+        return {"concurrency": {"times": times.tolist(),
+                                "values": concurrency.tolist()},
+                "rate": {"times": times.tolist(), "values": rate.tolist()},
                 "utilization": self.utilization,
                 "allocation": self.allocation,
                 "snapshots": self.snapshots, "updated": self.updated}

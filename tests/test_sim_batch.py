@@ -129,7 +129,7 @@ class TestSubmitBatch:
                 pairs = [app.submit("go") for _ in range(12)]
             env.run()
             assert app.latency["go"].total == 12
-            latencies = app.latency["go"].response_times()
+            latencies = app.latency["go"].window()[1]
             return (recorder.finish(app).digest, list(latencies),
                     [r.request_type for r, _p in pairs])
 

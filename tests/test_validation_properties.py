@@ -5,7 +5,6 @@ states one relation that must hold for *any* generated input:
 
 - Kneedle/SCG estimates are invariant to sample order and scale with
   the concurrency axis, and recover a planted knee;
-- goodput never exceeds throughput, for any threshold;
 - deadline propagation is exactly the SLA minus upstream self time,
   hence monotone (non-increasing) in upstream processing time, and
   always clamped to ``[floor·SLA, SLA]``;
@@ -79,29 +78,6 @@ def test_scg_concurrency_scaling_shifts_knee(scatter, factor):
     expected = factor * baseline.optimal_concurrency
     assert abs(scaled.optimal_concurrency - expected) <= \
         max(3.0, 0.35 * expected)
-
-
-# ----------------------------------------------------------------------
-# Goodput vs throughput
-# ----------------------------------------------------------------------
-@settings(max_examples=15, deadline=None, suppress_health_check=SUPPRESS)
-@given(
-    spec=chain_specs(max_depth=3),
-    rate=st.floats(20.0, 80.0),
-    threshold=st.floats(0.001, 0.5),
-)
-def test_goodput_never_exceeds_throughput(spec, rate, threshold):
-    from repro.workloads import OpenLoopDriver
-    env = Environment()
-    streams = RandomStreams(7)
-    app = build_chain_app(env, streams, spec)
-    driver = OpenLoopDriver(env, app, "go", rate=rate,
-                            rng=streams.stream("arr"), duration=4.0)
-    driver.start()
-    env.run()
-    metrics = app.service("svc0").metrics
-    goodput = metrics.goodput(0.0, env.now, threshold)
-    assert goodput <= metrics.throughput(0.0, env.now) + 1e-9
 
 
 # ----------------------------------------------------------------------
