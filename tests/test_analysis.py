@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
@@ -41,6 +41,7 @@ class TestPearson:
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(-100, 100), min_size=2, max_size=30))
+    @example([0.0, 1.6466279048663534e-161])  # subnormal squares
     def test_bounded(self, values):
         rng = np.random.default_rng(1)
         other = rng.normal(size=len(values))

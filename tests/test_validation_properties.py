@@ -5,6 +5,8 @@ states one relation that must hold for *any* generated input:
 
 - Kneedle/SCG estimates are invariant to sample order and scale with
   the concurrency axis, and recover a planted knee;
+- goodput never exceeds throughput, and both integrate back to the
+  service's completion log, for any topology and threshold;
 - deadline propagation is exactly the SLA minus upstream self time,
   hence monotone (non-increasing) in upstream processing time, and
   always clamped to ``[floor·SLA, SLA]``;
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from repro.analysis.queueing import Station, solve_mva
 from repro.core.deadline import DeadlinePropagator
 from repro.core.scg import SCGModel
+from repro.metrics import ConcurrencyGoodputSampler
 from repro.sim import Environment, RandomStreams
 from repro.validation import InvariantChecker, InvariantViolation
 from repro.validation.strategies import (
@@ -78,6 +81,44 @@ def test_scg_concurrency_scaling_shifts_knee(scatter, factor):
     expected = factor * baseline.optimal_concurrency
     assert abs(scaled.optimal_concurrency - expected) <= \
         max(3.0, 0.35 * expected)
+
+
+# ----------------------------------------------------------------------
+# Goodput vs throughput
+# ----------------------------------------------------------------------
+@settings(max_examples=15, deadline=None, suppress_health_check=SUPPRESS)
+@given(
+    spec=chain_specs(max_depth=3),
+    rate=st.floats(20.0, 80.0),
+    threshold=st.floats(0.001, 0.5),
+)
+def test_goodput_never_exceeds_throughput(spec, rate, threshold):
+    """Per sampler tick goodput <= throughput, and over the sampled span
+    the two rates count exactly the completions (all of them, and those
+    within the threshold) in the service's completion log."""
+    from repro.workloads import OpenLoopDriver
+    env = Environment()
+    streams = RandomStreams(7)
+    app = build_chain_app(env, streams, spec)
+    service = app.service("svc0")
+    sampler = ConcurrencyGoodputSampler(
+        env, service.server_concurrency_integral,
+        lambda since, until: service.metrics.window(since, until)[1],
+        threshold_provider=lambda: threshold)
+    sampler.start()
+    driver = OpenLoopDriver(env, app, "go", rate=rate,
+                            rng=streams.stream("arr"), duration=4.0)
+    driver.start()
+    env.run(until=5.0)
+    times, _q, goodput, throughput = sampler.series.window()
+    assert times.size > 0
+    assert np.all(goodput <= throughput)
+    elapsed = np.diff(times, prepend=0.0)
+    _departures, residence, _processing = service.metrics.window(
+        0.0, float(times[-1]))
+    assert np.rint(throughput * elapsed).sum() == residence.size
+    assert np.rint(goodput * elapsed).sum() == \
+        np.count_nonzero(residence <= threshold)
 
 
 # ----------------------------------------------------------------------
