@@ -3,7 +3,6 @@
 from repro.autoscalers.base import Autoscaler, NullAutoscaler, ScaleEvent
 from repro.autoscalers.firm import FirmAutoscaler
 from repro.autoscalers.hpa import HorizontalPodAutoscaler
-from repro.autoscalers.predictive import PredictiveAutoscaler
 from repro.autoscalers.vpa import VerticalPodAutoscaler
 
 __all__ = [
@@ -11,7 +10,6 @@ __all__ = [
     "FirmAutoscaler",
     "HorizontalPodAutoscaler",
     "NullAutoscaler",
-    "PredictiveAutoscaler",
     "ScaleEvent",
     "VerticalPodAutoscaler",
 ]

@@ -277,12 +277,17 @@ class Sample(_t.NamedTuple):
     exemplar: Exemplar | None = None
 
 
-_SAMPLE = re.compile(
-    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
-    r"(?:\{(?P<labels>[^}]*)\})?"
-    r"\s+(?P<value>\S+)"
-    r"(?:\s+#\s+\{(?P<exlabels>[^}]*)\}\s+(?P<exvalue>\S+)"
-    r"(?:\s+(?P<exts>\S+))?)?\s*$")
+#: One line of the dialect, matched over the whole text at once (with
+#: ``re.M`` and ``\n`` as the only line break): a sample (name, braced
+#: labels, value, then an optional exemplar of braced labels, value and
+#: timestamp), a comment, or a blank line. No class crosses a line.
+_LINE = re.compile(
+    r"^(?:(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?P<labels>\{[^}\n]*\})?"
+    r"[^\S\n]+(?P<value>\S+)"
+    r"(?:[^\S\n]+#[^\S\n]+(?P<exlabels>\{[^}\n]*\})[^\S\n]+"
+    r"(?P<exvalue>\S+)(?:[^\S\n]+(?P<exts>\S+))?)?[^\S\n]*"
+    r"|(?P<comment>#.*)|[^\S\n]*)$", re.M)
 _LABEL = re.compile(r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>'
                     r'(?:[^"\\]|\\.)*)"')
 
@@ -329,47 +334,64 @@ def scan_openmetrics(text: str) -> _t.Iterator[tuple]:
     ``exemplar`` the parsed ``(value, timestamp)`` of its exemplar
     clause, or ``None``. A sample belongs to the family its name
     declares, after stripping a ``_total``/``_count``/``_sum`` suffix
-    whose base family is declared. Raises ``ValueError`` on malformed
-    lines, a sample of an undeclared family, or a missing ``# EOF``
-    terminator.
+    whose base family is declared. Lines are those of
+    ``text.splitlines()``. Raises ``ValueError`` on malformed lines, a
+    sample of an undeclared family, or a missing ``# EOF`` terminator,
+    at the first fault in line order.
+
+    One ``findall`` matches every line; only when a line fails is the
+    text walked again to find the first that does. Each distinct sample
+    name resolves to its family once per ``# TYPE`` run.
     """
+    lines = text.splitlines()
+    rows = _LINE.findall("\n".join(lines)) if lines else []
+    bad = len(rows)
+    if bad != len(lines):
+        bad = next(index for index, line in enumerate(lines)
+                   if _LINE.match(line) is None)
+        del rows[bad:]
     declared: set[str] = set()
+    #: Sample name -> family, valid until the next ``# TYPE``.
+    families: dict[str, str] = {}
     saw_eof = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        if saw_eof:
-            raise ValueError(f"line {lineno}: content after # EOF")
-        if line.startswith("#"):
-            parts = line.split(None, 3)
+    for lineno, (name, labels, value, exlabels, exvalue, exts,
+                 comment) in enumerate(rows, start=1):
+        if name:
+            if saw_eof:
+                raise ValueError(f"line {lineno}: content after # EOF")
+            exemplar = None
+            if exvalue:
+                exemplar = (float(exvalue), float(exts) if exts else None)
+            family = families.get(name)
+            if family is None:
+                family = name
+                if name.endswith(_SUFFIXES):
+                    base = name[:name.rindex("_")]
+                    if base in declared:
+                        family = base
+                if family not in declared:
+                    raise ValueError(
+                        f"line {lineno}: sample {name!r} without # TYPE")
+                families[name] = family
+            yield family, None, (
+                name, labels[1:-1] if labels else None, value,
+                exlabels[1:-1] if exvalue else None, exvalue or None,
+                exts or None), float(value), exemplar
+        elif comment:
+            if saw_eof:
+                raise ValueError(f"line {lineno}: content after # EOF")
+            parts = comment.split(None, 3)
             if len(parts) >= 2 and parts[1] == "EOF":
                 saw_eof = True
             elif len(parts) >= 4 and parts[1] == "TYPE":
                 declared.add(parts[2])
+                families.clear()
                 yield parts[2], parts[3], None, 0.0, None
-            elif len(parts) >= 2 and parts[1] == "HELP":
-                continue
-            else:
-                raise ValueError(f"line {lineno}: bad comment {line!r}")
-            continue
-        match = _SAMPLE.match(line)
-        if match is None:
-            raise ValueError(f"line {lineno}: bad sample {line!r}")
-        fields = match.groups()
-        name, _labels, value, _exlabels, exvalue, exts = fields
-        exemplar = None
-        if exvalue is not None:
-            exemplar = (float(exvalue),
-                        float(exts) if exts is not None else None)
-        family = name
-        if name.endswith(_SUFFIXES):
-            base = name[:name.rindex("_")]
-            if base in declared:
-                family = base
-        if family not in declared:
-            raise ValueError(
-                f"line {lineno}: sample {name!r} without # TYPE")
-        yield family, None, fields, float(value), exemplar
+            elif len(parts) < 2 or parts[1] != "HELP":
+                raise ValueError(f"line {lineno}: bad comment {comment!r}")
+    if bad < len(lines):
+        raise ValueError(f"line {bad + 1}: content after # EOF" if saw_eof
+                         else f"line {bad + 1}: bad sample {lines[bad]!r}")
     if not saw_eof:
         raise ValueError("missing # EOF terminator")
 

@@ -68,9 +68,10 @@ __all__ = ["ControlPlane"]
 
 #: Name stamped on every control round the service emits.
 CONTROLLER_NAME = "service"
-#: Largest pool size magnitude a snapshot may report: the largest
-#: integer a float64 holds exactly (a larger one overflows the decision
-#: core's int64 columns).
+#: Largest concurrency, goodput or pool size magnitude a snapshot may
+#: report: the largest integer a float64 holds exactly (a larger pool
+#: size overflows the decision core's int64 columns, and a larger pair
+#: reading is no measurement).
 MAX_ALLOCATION = 2 ** 53
 
 
@@ -184,8 +185,9 @@ class ControlPlane:
                 a sample already observed for one of its series (the
                 per-series clocks must be non-decreasing),
                 ``"bad-openmetrics"`` when a service's concurrency or
-                goodput is NaN, infinite or negative, or a service with
-                a pair reports a NaN allocation or one larger than
+                goodput is NaN, negative or larger than
+                :data:`MAX_ALLOCATION`, or a service with a pair reports
+                a NaN allocation or one larger than
                 :data:`MAX_ALLOCATION` in magnitude.
         """
         cfg = self.config
@@ -226,15 +228,16 @@ class ControlPlane:
                     "stale-snapshot",
                     f"snapshot time {now} precedes already-observed "
                     f"samples (latest {latest}) for: {', '.join(names)}")
-            # A NaN, infinite or negative pair, or a NaN or oversized
-            # pool size beside one, would be stored and fitted (or fail
-            # every later round), so it rejects the whole snapshot.
+            # A NaN, infinite, negative or oversized pair, or a NaN or
+            # oversized pool size beside one, would be stored and fitted
+            # (or fail every later round), so it rejects the whole
+            # snapshot.
             head = slice(0, snapshot.pairs)
             pair = np.stack((snapshot.concurrency[head],
                              snapshot.rate[head]))
             sized = np.where(snapshot.has_allocation[head],
                              snapshot.allocation[head], 0.0)
-            invalid = ~((np.isfinite(pair) & (pair >= 0)).all(axis=0)
+            invalid = ~(((pair >= 0) & (pair <= MAX_ALLOCATION)).all(axis=0)
                         & (np.abs(sized) <= MAX_ALLOCATION))
             if invalid.any():
                 self.obs.registry.counter("service.rejected").inc()
@@ -243,12 +246,13 @@ class ControlPlane:
                 raise IngestError(
                     "bad-openmetrics",
                     f"{cfg.concurrency_family!r} and {cfg.rate_family!r} "
-                    f"must be finite and non-negative, and "
-                    f"{cfg.allocation_family!r} at most {MAX_ALLOCATION} "
-                    f"in magnitude, for services with pair telemetry; "
-                    f"invalid for: {', '.join(names)}")
+                    f"must be finite, non-negative and at most "
+                    f"{MAX_ALLOCATION}, and {cfg.allocation_family!r} at "
+                    f"most {MAX_ALLOCATION} in magnitude, for services "
+                    f"with pair telemetry; invalid for: {', '.join(names)}")
             self.now = max(self.now, now)
-            store.observe(now, store.track(snapshot.services), snapshot)
+            store.observe(now, store.track(snapshot.services, columns),
+                          snapshot)
             self._pending += 1
             self.snapshots_ingested += 1
         self.obs.registry.counter("service.snapshots").inc()

@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 import typing as _t
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -273,20 +274,21 @@ class SeriesStore:
 
     def columns(self, names: _t.Sequence[str]) -> np.ndarray:
         """Column of each name, ``-1`` for services not yet tracked."""
-        index = self._index
-        return np.array([index.get(name, -1) for name in names],
-                        dtype=np.intp)
+        return np.fromiter(map(self._index.get, names, repeat(-1)),
+                           dtype=np.intp, count=len(names))
 
-    def track(self, names: _t.Sequence[str]) -> np.ndarray:
-        """Column of each name, giving untracked ones the next columns
-        in order."""
-        fresh = [name for name in names if name not in self._index]
+    def track(self, names: _t.Sequence[str],
+              columns: np.ndarray) -> np.ndarray:
+        """Give the names whose column (from :meth:`columns`) is ``-1``
+        the next columns in order, writing them into ``columns``."""
+        fresh = np.flatnonzero(columns < 0).tolist()
         if fresh:
             self._reserve(self._rows, len(self.names) + len(fresh))
-            for name in fresh:
-                self._index[name] = len(self.names)
+            for position in fresh:
+                name = names[position]
+                columns[position] = self._index[name] = len(self.names)
                 self.names.append(name)
-        return self.columns(names)
+        return columns
 
     def _reserve(self, rows: int, columns: int) -> None:
         """Grow the arrays (doubling) to hold ``rows x columns``."""
@@ -422,7 +424,8 @@ class SeriesStore:
         rows merged on ``(time, occurrence)`` so that equal timestamps
         of one service keep their order."""
         store = cls()
-        store.track(list(state))
+        names = list(state)
+        store.track(names, store.columns(names))
         keys: list[list[tuple[float, int, float]]] = []
         for series in state.values():
             seen: dict[tuple[float, float], int] = {}

@@ -9,7 +9,8 @@ Two wire formats come in, both already spoken elsewhere in the repo:
   (:func:`repro.obs.openmetrics.scan_openmetrics`, which
   :func:`repro.obs.parse_openmetrics` also runs) that keeps only the
   configured ``sora_*`` families and writes them straight into one
-  column per service; no per-sample objects or label dicts are built.
+  column per service; no per-sample objects or label dicts are built,
+  and each distinct label text is resolved to its service once.
   Malformed payloads are rejected with the grammar's established error
   taxonomy ("bad sample", "bad comment", "missing # EOF terminator",
   ...) wrapped in a typed :class:`~repro.service.domain.IngestError`.
@@ -28,6 +29,7 @@ from __future__ import annotations
 import json
 import typing as _t
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -104,12 +106,31 @@ def _column(readings: dict[str, float],
             services: _t.Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """``(values, present)`` of one family over ``services`` (NaN
     where absent)."""
-    nan = float("nan")
-    values = np.array([readings.get(name, nan) for name in services],
-                      dtype=np.float64)
-    present = np.array([name in readings for name in services],
-                       dtype=bool)
+    count = len(services)
+    values = np.fromiter(map(readings.get, services, repeat(np.nan, count)),
+                         dtype=np.float64, count=count)
+    present = np.fromiter(map(readings.__contains__, services),
+                          dtype=bool, count=count)
     return values, present
+
+
+#: Most label texts :func:`parse_metrics_snapshot` remembers the service
+#: of: a fleet of up to this many services (``ServiceConfig.max_series``'s
+#: default) resolves each distinct label text once, not once a sample.
+LABEL_MEMO = 4096
+
+#: ``label key -> {label text -> service}`` for the last label key read;
+#: the inner map is emptied before it would exceed :data:`LABEL_MEMO`.
+_SERVICES: dict[str, dict[str | None, str | None]] = {}
+
+
+def _services(key: str) -> dict[str | None, str | None]:
+    """The label-text memo of ``key`` (replacing any other key's)."""
+    memo = _SERVICES.get(key)
+    if memo is None:
+        _SERVICES.clear()
+        memo = _SERVICES[key] = {}
+    return memo
 
 
 def parse_metrics_snapshot(text: str,
@@ -139,6 +160,7 @@ def parse_metrics_snapshot(text: str,
         roles.setdefault(family, []).append(role)
     declared: set[str] = set()
     clock: float | None = None
+    services = _services(label)
     try:
         for family, kind, fields, value, _exemplar in \
                 scan_openmetrics(text):
@@ -157,7 +179,13 @@ def parse_metrics_snapshot(text: str,
             family_roles = roles.get(family)
             if family_roles is None:
                 continue
-            service = label_value(fields[1], label)
+            raw = fields[1]
+            try:
+                service = services[raw]
+            except KeyError:
+                if len(services) >= LABEL_MEMO:
+                    services.clear()
+                service = services[raw] = label_value(raw, label)
             for role in family_roles:
                 if service is not None:
                     readings[role][service] = value
@@ -179,7 +207,9 @@ def parse_metrics_snapshot(text: str,
             f"snapshot needs non-empty {config.concurrency_family!r} "
             f"and {config.rate_family!r} families (got "
             f"{sorted(declared)})")
-    paired = sorted(concurrency.keys() & rate.keys())
+    # Scrapes list their services in order, so this sort is one pass.
+    paired = [name for name in concurrency if name in rate]
+    paired.sort()
     if not paired:
         raise IngestError(
             "missing-family",

@@ -1,103 +1,8 @@
-"""Tests for the predictive autoscaler and the sweep utility."""
+"""Tests for the sweep utility."""
 
 import pytest
 
-from repro.app import Application, Compute, Microservice, Operation
-from repro.autoscalers import PredictiveAutoscaler
-from repro.core import MonitoringModule
 from repro.experiments import sweep
-from repro.sim import Environment, Exponential, RandomStreams
-from repro.workloads import OpenLoopDriver
-
-
-def loaded_app(env, streams, demand=0.02):
-    app = Application(env)
-    svc = Microservice(env, "svc", streams.stream("svc"), cores=2.0,
-                       thread_pool_size=32)
-    svc.add_operation(Operation("default", [
-        Compute(Exponential(demand))]))
-    app.add_service(svc)
-    app.set_entrypoint("go", "svc", "default")
-    return app
-
-
-class TestPredictiveAutoscaler:
-    def test_validation(self):
-        env = Environment()
-        streams = RandomStreams(2)
-        app = loaded_app(env, streams)
-        monitoring = MonitoringModule(env, app)
-        svc = app.service("svc")
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(env, svc, monitoring,
-                                 target_utilization=0.0)
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(env, svc, monitoring, horizon=0.0)
-        with pytest.raises(ValueError):
-            PredictiveAutoscaler(env, svc, monitoring, min_replicas=3,
-                                 max_replicas=1)
-
-    def test_scales_ahead_of_rising_load(self):
-        env = Environment()
-        streams = RandomStreams(2)
-        app = loaded_app(env, streams)
-        monitoring = MonitoringModule(env, app)
-        scaler = PredictiveAutoscaler(env, app.service("svc"),
-                                      monitoring,
-                                      target_utilization=0.5,
-                                      max_replicas=4)
-        monitoring.start()
-        scaler.start()
-        # Ramp: 20 -> 90 req/s over 120 s (capacity of one replica at
-        # 50% target is ~50 req/s).
-        driver = OpenLoopDriver(
-            env, app, "go",
-            rate=lambda t: 20.0 + 70.0 * min(1.0, t / 120.0),
-            rng=streams.stream("arr"), duration=120.0)
-        driver.start()
-        env.run(until=120.0)
-        assert app.service("svc").replica_count >= 2
-        assert scaler.scale_log
-        # The forecast-based trigger fires while utilization is still
-        # below the target at the trigger instant (it scaled *ahead*).
-        first = scaler.scale_log[0]
-        assert first.kind == "horizontal"
-
-    def test_forecast_on_flat_series(self):
-        env = Environment()
-        streams = RandomStreams(2)
-        app = loaded_app(env, streams)
-        monitoring = MonitoringModule(env, app)
-        scaler = PredictiveAutoscaler(env, app.service("svc"),
-                                      monitoring)
-        monitoring.start()
-        driver = OpenLoopDriver(env, app, "go", rate=30.0,
-                                rng=streams.stream("arr"), duration=60.0)
-        driver.start()
-        env.run(until=60.0)
-        forecast = scaler.forecast_utilization()
-        actual = monitoring.utilization_over("svc", 30.0)
-        assert forecast == pytest.approx(actual, abs=0.15)
-
-    def test_scale_down_requires_stabilization(self):
-        env = Environment()
-        streams = RandomStreams(2)
-        app = loaded_app(env, streams)
-        app.service("svc").scale_replicas(3)
-        monitoring = MonitoringModule(env, app)
-        scaler = PredictiveAutoscaler(env, app.service("svc"),
-                                      monitoring,
-                                      scale_down_stabilization=45.0)
-        monitoring.start()
-        scaler.start()
-        driver = OpenLoopDriver(env, app, "go", rate=5.0,
-                                rng=streams.stream("arr"),
-                                duration=120.0)
-        driver.start()
-        env.run(until=30.0)
-        assert app.service("svc").replica_count == 3
-        env.run(until=120.0)
-        assert app.service("svc").replica_count < 3
 
 
 class TestSweep:

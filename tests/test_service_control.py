@@ -27,6 +27,7 @@ from repro.service import (
     replay_journal,
     verify_replay,
 )
+from repro.service.control import MAX_ALLOCATION
 from repro.tracing.export import export_traces
 from repro.tracing.span import Span
 
@@ -473,6 +474,32 @@ def test_bad_pair_reading_is_rejected_before_any_mutation(family, value):
     assert plane.tick().decisions
 
 
+def test_absurd_finite_pair_reading_is_rejected_and_named():
+    """A concurrency or goodput above MAX_ALLOCATION is finite but no
+    measurement: it rejects the snapshot, naming every such service,
+    while a reading of exactly MAX_ALLOCATION is accepted."""
+    plane = ControlPlane(small_config(decide_top_k=0))
+    text = render_snapshot(1.0, {"cart": 0.9}, {"aaa": 1e300, "cart": 3.0,
+                                                "zed": 4.0},
+                           {"aaa": 2.0, "cart": 20.0, "zed": 1e16})
+    with pytest.raises(IngestError) as excinfo:
+        plane.ingest_metrics(text)
+    assert excinfo.value.code == "bad-openmetrics"
+    assert excinfo.value.detail.endswith("invalid for: aaa, zed")
+    assert f"at most {MAX_ALLOCATION}" in excinfo.value.detail
+    assert plane.checkpoint()["series"] == {}
+    assert plane.pending == 0
+    text = render_snapshot(1.0, {}, {"cart": 3.0}, {"cart": 20.0})
+    for old in ('sora_concurrency{service="cart"} 3',
+                'sora_goodput{service="cart"} 20'):
+        assert old in text
+        text = text.replace(old, f"{old.split()[0]} {MAX_ALLOCATION}")
+    plane.ingest_metrics(text)
+    series = plane.checkpoint()["series"]["cart"]
+    assert series["concurrency"]["values"] == [float(MAX_ALLOCATION)]
+    assert series["rate"]["values"] == [float(MAX_ALLOCATION)]
+
+
 def test_stale_utilization_only_snapshot_still_enriches():
     # Utilization-only readings append no time-series samples, so a
     # regressing clock must not reject them.
@@ -539,13 +566,18 @@ def test_audit_replay_is_byte_identical(tmp_path):
 
 
 def test_an_overflowing_series_leaves_the_others_decided(tmp_path):
-    # "bad" reports cart's curve at 1e39 times the concurrency (finite,
-    # so ingest accepts it). The round still decides every series, and
-    # cart gets the recommendation a plane without "bad" gives it.
+    # "bad" reports cart's curve at 4e14 times the concurrency (up to
+    # 8e15, just inside MAX_ALLOCATION, so ingest accepts it). The round
+    # still decides every series, and cart gets the recommendation a
+    # plane without "bad" gives it. At 1e39 times, ingest rejects it.
     config = small_config(decide_top_k=0)
     journal_path = tmp_path / "journal.jsonl"
     journal = AuditJournal(journal_path)
     plane, clean = ControlPlane(config), ControlPlane(config)
+    with pytest.raises(IngestError, match="invalid for: bad$"):
+        plane.ingest_metrics(render_snapshot(
+            1.0, {"cart": 0.92, "bad": 0.92}, {"cart": 1.0, "bad": 1e39},
+            {"cart": 2.0, "bad": 2.0}, {"cart": 20, "bad": 20}))
     rng = np.random.default_rng(11)
     for index in range(40):
         q = 1.0 + (index % 20)
@@ -553,7 +585,7 @@ def test_an_overflowing_series_leaves_the_others_decided(tmp_path):
                    + rng.normal(0.0, 1.5))
         body = render_snapshot(
             float(index + 1), {"cart": 0.92, "bad": 0.92},
-            {"cart": q, "bad": q * 1e39}, {"cart": rate, "bad": rate},
+            {"cart": q, "bad": q * 4e14}, {"cart": rate, "bad": rate},
             {"cart": 20, "bad": 20})
         plane.ingest_metrics(body)
         journal.record("metrics", plane.now, body)

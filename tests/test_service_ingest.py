@@ -1,26 +1,116 @@
-"""Snapshot parsing parity: the single-pass columnar parser against the
-generic-parser adapter it replaced.
+"""Snapshot parsing parity, against two frozen references.
 
-:func:`oracle_snapshot` is that adapter, kept here as a test oracle:
-the generic :func:`repro.obs.parse_openmetrics`, a per-family
-``service -> value`` map, and one :class:`SeriesSample` per service.
-Every snapshot below must come out of both the same way: the same
-services in the same order with bitwise-equal floats, or the same
-:class:`IngestError` code and detail.
+:func:`oracle_snapshot` is the generic-parser adapter the columnar
+parser replaced, kept here as a test oracle: the generic
+:func:`repro.obs.parse_openmetrics`, a per-family ``service -> value``
+map, and one :class:`SeriesSample` per service. Every snapshot below
+must come out of both the same way: the same services in the same order
+with bitwise-equal floats, or the same :class:`IngestError` code and
+detail.
+
+That oracle runs the same line grammar as the code under test, so the
+grammar has its own reference: :func:`reference_scan` is the per-line
+:func:`repro.obs.openmetrics.scan_openmetrics` that the whole-text scan
+replaced, frozen here. The scanner must yield the same tuples and raise
+the same ``ValueError`` text on every text.
 """
 
 import random
+import re
 import struct
 
 import pytest
 
 from repro.obs import parse_openmetrics
+from repro.obs.openmetrics import scan_openmetrics
+from repro.service import ingest
 from repro.service import (
     IngestError,
     SeriesSample,
     ServiceConfig,
     parse_metrics_snapshot,
 )
+
+
+# ----------------------------------------------------------------------
+# The frozen per-line scanner
+# ----------------------------------------------------------------------
+_REFERENCE_SAMPLE = re.compile(
+    r"^(?P<name>[a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r"(?:\{(?P<labels>[^}]*)\})?"
+    r"\s+(?P<value>\S+)"
+    r"(?:\s+#\s+\{(?P<exlabels>[^}]*)\}\s+(?P<exvalue>\S+)"
+    r"(?:\s+(?P<exts>\S+))?)?\s*$")
+
+
+def reference_scan(text: str):
+    """The line grammar as one ``match`` per line, frozen as it was
+    before the whole-text scan."""
+    declared: set[str] = set()
+    saw_eof = False
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        if saw_eof:
+            raise ValueError(f"line {lineno}: content after # EOF")
+        if line.startswith("#"):
+            parts = line.split(None, 3)
+            if len(parts) >= 2 and parts[1] == "EOF":
+                saw_eof = True
+            elif len(parts) >= 4 and parts[1] == "TYPE":
+                declared.add(parts[2])
+                yield parts[2], parts[3], None, 0.0, None
+            elif len(parts) >= 2 and parts[1] == "HELP":
+                continue
+            else:
+                raise ValueError(f"line {lineno}: bad comment {line!r}")
+            continue
+        match = _REFERENCE_SAMPLE.match(line)
+        if match is None:
+            raise ValueError(f"line {lineno}: bad sample {line!r}")
+        fields = match.groups()
+        name, _labels, value, _exlabels, exvalue, exts = fields
+        exemplar = None
+        if exvalue is not None:
+            exemplar = (float(exvalue),
+                        float(exts) if exts is not None else None)
+        family = name
+        if name.endswith(("_total", "_count", "_sum")):
+            base = name[:name.rindex("_")]
+            if base in declared:
+                family = base
+        if family not in declared:
+            raise ValueError(
+                f"line {lineno}: sample {name!r} without # TYPE")
+        yield family, None, fields, float(value), exemplar
+    if not saw_eof:
+        raise ValueError("missing # EOF terminator")
+
+
+def _exact(item):
+    """``item`` with every float as its bit pattern (NaN equals NaN)."""
+    if isinstance(item, float):
+        return struct.pack("<d", item)
+    if isinstance(item, tuple):
+        return tuple(_exact(part) for part in item)
+    return item
+
+
+def scanned(scan, text: str):
+    """Every tuple a scan yields, then its error text (or ``None``)."""
+    out = []
+    try:
+        for item in scan(text):
+            out.append(_exact(item))
+    except ValueError as exc:
+        return out, str(exc)
+    return out, None
+
+
+def assert_scan_parity(text: str):
+    expected = scanned(reference_scan, text)
+    assert scanned(scan_openmetrics, text) == expected
+    return expected
 
 
 def _by_service(families: dict, family: str,
@@ -280,7 +370,19 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_case_matches_oracle(name):
+    assert_scan_parity(CASES[name])
     assert_parity(CASES[name])
+
+
+def test_label_memo_stays_bounded_and_keyed_by_label(monkeypatch):
+    """The memo of label text -> service never outgrows LABEL_MEMO, and a
+    config with another service label reads its own label."""
+    monkeypatch.setattr(ingest, "LABEL_MEMO", 3)
+    text = text_of(fleet_snapshot(random.Random(5), 10, 1.0, labels=3))
+    assert assert_parity(text)[0] == "ok"
+    assert [len(memo) <= 3 for memo in ingest._SERVICES.values()] == [True]
+    assert assert_parity(text, ServiceConfig(service_label="pod"))[0] == "ok"
+    assert list(ingest._SERVICES) == ["pod"]
 
 
 FAMILIES = ("sora_concurrency", "sora_goodput", "sora_utilization",
@@ -379,6 +481,8 @@ def mutations(rng: random.Random):
 
 
 def test_mutation_corpus_matches_oracle():
+    """Both oracles, the snapshot adapter and the frozen scanner, on
+    400 randomly edited fleet scrapes."""
     rng = random.Random(20231201)
     edits = mutations(rng)
     outcomes = set()
@@ -388,10 +492,103 @@ def test_mutation_corpus_matches_oracle():
         for edit in rng.sample(edits, rng.randrange(1, 4)):
             edit(lines)
         newline = "\r\n" if rng.random() < 0.1 else "\n"
-        result = assert_parity(newline.join(lines) + newline)
+        text = newline.join(lines) + newline
+        assert_scan_parity(text)
+        result = assert_parity(text)
         outcomes.add((result[0],
                       result[1] if result[0] == "error" else None))
     # The corpus reaches acceptance and every rejection code.
     assert {kind for kind, _code in outcomes} == {"ok", "error"}
     assert {code for kind, code in outcomes if kind == "error"} == {
         "bad-openmetrics", "missing-family", "missing-label"}
+
+
+# ----------------------------------------------------------------------
+# The whole-text scan against the frozen per-line scanner
+# ----------------------------------------------------------------------
+_BASE = ['# TYPE a gauge', 'a{x="1"} 1', '# HELP a help text',
+         '# TYPE b counter', 'b_total{x="2",y="3"} 2 # {trace_id="ab"} 1.5 3',
+         'b_total 4 # {} 5', '# EOF']
+
+#: Every line break ``str.splitlines`` knows, alone and as CRLF.
+SEPARATORS = ["\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e",
+              "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("separator", SEPARATORS, ids=repr)
+def test_every_line_break_scans_like_the_reference(separator):
+    items, error = assert_scan_parity(separator.join(_BASE) + separator)
+    assert error is None and len(items) == 5
+    # A break inside a label value splits the sample line in two.
+    text = separator.join(_BASE).replace('x="1"', f'x="1{separator}"')
+    assert assert_scan_parity(text)[1].startswith("line 2: bad sample")
+
+
+#: Unicode whitespace, braces, ``# EOF`` and comment corners, and texts
+#: with two faults (the first in line order must win).
+SCAN_CASES = {
+    "tabs": '# TYPE a gauge\na{x="1"}\t1\t#\t{y="2"}\t3\t4\t\n# EOF\n',
+    "NBSP as a separator": "#\xa0TYPE\xa0a\xa0gauge\na\xa01\xa0\n# EOF\n",
+    "NBSP before a sample": "# TYPE a gauge\n\xa0a 1\n# EOF\n",
+    "whitespace-only lines": "\t\n \xa0\x1f\u3000\n# TYPE a gauge\n  \na 1\n"
+                             "\t\n# EOF\n\xa0\n",
+    "brace inside a label value": '# TYPE a gauge\na{x="}"} 1\n# EOF\n',
+    "brace inside an exemplar label": (
+        '# TYPE a gauge\na 1 # {x="}"} 2\n# EOF\n'),
+    "empty labels": "# TYPE a gauge\na{} 1\n# EOF\n",
+    "content after EOF": "# TYPE a gauge\n# EOF\n\n  \na 1\n",
+    "comment after EOF": "# EOF\n# HELP a text\n",
+    "blank after EOF": "# TYPE a gauge\na 1\n# EOF\n \t\n\n",
+    "bad line after EOF": "# TYPE a gauge\n# EOF\na{ 1\n",
+    "EOF with text": "# TYPE a gauge\na 1\n# EOF trailing words\n",
+    "no trailing newline": "# TYPE a gauge\na 1\n# EOF",
+    "empty text": "",
+    "only whitespace": "  \n\t\n",
+    "bare hash": "#\n# EOF\n",
+    "EOF without space": "#EOF\n",
+    "TYPE without a kind": "# TYPE a\n# EOF\n",
+    "TYPE kind with spaces": "# TYPE a gauge  kind \t\na 1\n# EOF\n",
+    "HELP alone": "# HELP\n# EOF\n",
+    "indented comment": "  # TYPE a gauge\n# EOF\n",
+    "suffix redeclared": ("# TYPE a_total gauge\na_total 1\n# TYPE a counter\n"
+                          "a_total 2\na_count 3\n# EOF\n"),
+    "bad value before bad comment": (
+        "# TYPE a gauge\na abc\n# nonsense\n# EOF\n"),
+    "bad comment before bad value": (
+        "# TYPE a gauge\n# nonsense\na abc\n# EOF\n"),
+    "bad value before bad sample": "# TYPE a gauge\na abc\na{ 1\n# EOF\n",
+    "bad sample before bad value": "# TYPE a gauge\na{ 1\na abc\n# EOF\n",
+    "undeclared before bad sample": "zzz 1\na{ 1\n# EOF\n",
+    "bad exemplar of an undeclared sample": 'zzz 1 # {x="1"} bad\n# EOF\n',
+    "undeclared sample with a bad value": "zzz abc\n# EOF\n",
+    "bad timestamp before bad value": (
+        '# TYPE a gauge\na 1 # {x="1"} 2 bad\na abc\n# EOF\n'),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_CASES))
+def test_case_scans_like_the_reference(name):
+    assert_scan_parity(SCAN_CASES[name])
+
+
+def test_random_texts_scan_like_the_reference():
+    """Lines built from the grammar's tokens, joined by any line break."""
+    rng = random.Random(7)
+    pieces = ["a", "a_total", "b", "b_sum", "{", "}", '{x="1"}',
+              '{x="}"}', "{}", " ", "\t", "\xa0", "#", "# TYPE", "# HELP",
+              "# EOF", "gauge", "1", "-2.5e3", "NaN", "+Inf", "abc", "1_0",
+              '# {t="ab"}', "\\", '"', "=", ","]
+    outcomes = set()
+    for _case in range(600):
+        lines = ["# TYPE a gauge", "# TYPE b summary"]
+        for _line in range(rng.randrange(1, 6)):
+            lines.append("".join(rng.choice(pieces)
+                                 for _ in range(rng.randrange(0, 7))))
+        if rng.random() < 0.7:
+            lines.insert(rng.randrange(len(lines) + 1), "# EOF")
+        separator = rng.choice(SEPARATORS)
+        _items, error = assert_scan_parity(separator.join(lines)
+                                          + rng.choice(["", separator]))
+        outcomes.add(error.split(":")[1].split()[0] if error and
+                     error.startswith("line") else error)
+    assert None in outcomes and len(outcomes) > 4
